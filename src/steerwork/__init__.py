@@ -9,106 +9,24 @@ saturates the quantum one, and certifies the unsteerable ceiling with an
 independent optimizer.
 """
 
-from .bounds import (
-    BoundSet,
-    XiUndefinedError,
-    advantage_condition,
-    evaluate_bounds,
-    ground_state_population,
-    rastegin_bound,
-    w_classical,
-    w_quantum,
-    xi,
-)
-from .game import (
-    Assemblage,
-    GameConfig,
-    WorkReport,
-    average_work,
-    hamiltonian,
-    maximally_entangled,
-    measure_assemblage,
-    projective_povm,
-    run_exact_quantum,
-    run_monte_carlo,
-    thermal_state,
-    work_term,
-)
-from .lhs import (
-    LhsModel,
-    OptimizerResult,
-    assemblage_from_model,
-    bloch_grid_search,
-    deterministic_single_state_model,
-    lhs_sup_work,
-    lhs_work,
-    mub_overlap_objective,
-    optimize_single_state,
-    random_lhs_model,
-)
-from .mub import (
-    MubConstructionError,
-    MubSet,
-    MubVerification,
-    build_mub,
-    conjugate_basis,
-    is_prime,
-    supported_family,
-    verify_mub,
-)
-from .qmath import (
-    hermitian_eigensystem,
-    min_eigenvalue,
-    partial_trace_A,
-    principal_eigenvector,
-    tensor_product,
-)
+from .bounds import BoundSet, evaluate_bounds
+from .game import GameConfig, WorkReport, run_exact_quantum
+from .lhs import OptimizerResult, bloch_grid_search, lhs_sup_work, optimize_single_state
+from .mub import MubConstructionError, MubSet, build_mub
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assemblage",
     "BoundSet",
     "GameConfig",
-    "LhsModel",
     "MubConstructionError",
     "MubSet",
-    "MubVerification",
     "OptimizerResult",
     "WorkReport",
-    "XiUndefinedError",
-    "advantage_condition",
-    "assemblage_from_model",
-    "average_work",
     "bloch_grid_search",
     "build_mub",
-    "conjugate_basis",
-    "deterministic_single_state_model",
     "evaluate_bounds",
-    "ground_state_population",
-    "hamiltonian",
-    "hermitian_eigensystem",
-    "is_prime",
     "lhs_sup_work",
-    "lhs_work",
-    "maximally_entangled",
-    "measure_assemblage",
-    "min_eigenvalue",
-    "mub_overlap_objective",
     "optimize_single_state",
-    "partial_trace_A",
-    "principal_eigenvector",
-    "projective_povm",
-    "random_lhs_model",
-    "rastegin_bound",
     "run_exact_quantum",
-    "run_monte_carlo",
-    "supported_family",
-    "tensor_product",
-    "thermal_state",
-    "verify_mub",
-    "w_classical",
-    "w_quantum",
-    "work_term",
-    "xi",
 ]

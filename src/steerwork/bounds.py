@@ -74,10 +74,10 @@ def xi(d: int, n: int, omega: float, beta: float) -> float:
     Raises XiUndefinedError when the denominator is <= 0 (large beta);
     equals sqrt(n) exactly at beta = 0.
     """
-    wc = w_classical(d, n, omega, beta)
-    if wc <= 0.0:
-        raise XiUndefinedError(wc)
-    return w_quantum(d, omega, beta) / wc
+    bs = evaluate_bounds(d, n, omega, beta)
+    if bs.xi is None:
+        raise XiUndefinedError(bs.w_classical)
+    return bs.xi
 
 
 def advantage_condition(d: int, n: int) -> bool:
@@ -114,7 +114,7 @@ class BoundSet:
             "d": self.d,
             "n": self.n,
             "omega": self.omega,
-            "beta": _json_float(self.beta),
+            "beta": json_float(self.beta),
             "w_classical": self.w_classical,
             "w_quantum": self.w_quantum,
             "xi": self.xi,
@@ -136,8 +136,8 @@ def evaluate_bounds(d: int, n: int, omega: float, beta: float) -> BoundSet:
     )
 
 
-def _json_float(value: float) -> float | str:
-    # Strict JSON has no Infinity literal; zero temperature goes out as "inf".
+def json_float(value: float) -> float | str:
+    """Strict JSON has no Infinity literal; zero temperature goes out as "inf"."""
     return "inf" if math.isinf(value) else value
 
 

@@ -19,9 +19,9 @@ import json
 import math
 import sys
 
-from .bounds import evaluate_bounds
+from .bounds import evaluate_bounds, json_float
 from .game import GameConfig, run_exact_quantum, run_monte_carlo
-from .lhs import bloch_grid_search, deterministic_single_state_model, lhs_work, optimize_single_state
+from .lhs import bloch_grid_search, lhs_sup_work
 from .mub import MubConstructionError, SUPPORTED_FAMILIES, build_mub, supported_family, verify_mub
 
 EXIT_OK = 0
@@ -29,8 +29,6 @@ EXIT_USAGE = 2
 EXIT_XI_DOMAIN = 3
 EXIT_UNSUPPORTED = 4
 EXIT_VERIFY_FAIL = 5
-
-SCAN_HEADER = "d,n,omega,beta,w_classical,w_quantum,xi,xi_over_sqrt_d"
 
 
 def _fmt(value) -> str:
@@ -55,23 +53,55 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+def _labelled(fields: dict) -> list[str]:
+    """Text lines "key = value", with the keys padded to the longest one."""
+    width = max(map(len, fields))
+    return [f"{key:<{width}} = {_fmt(value)}" for key, value in fields.items()]
+
+
+def _render(args, payload, rows: list[dict], text: list[str]) -> None:
+    """Write payload as JSON, rows as CSV (header from the first row), or text."""
+    if args.format == "json":
+        out = json.dumps(payload, indent=2)
+    elif args.format == "csv":
+        out = "\n".join([",".join(rows[0])]
+                        + [",".join(_csv_cell(v) for v in row.values()) for row in rows])
     else:
-        print(text)
+        out = "\n".join(text)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(out + "\n")
+    else:
+        print(out)
 
 
-def _add_common(sub, n_bases_required=True):
+def _finite_float(*, positive: bool):
+    """argparse type: a finite float that is > 0 when positive, else >= 0."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not math.isfinite(value) or value < 0 or (positive and value == 0):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'> 0' if positive else '>= 0'}, got {text!r}")
+        return value
+    return parse
+
+
+def _add_output(sub, default: str = "text"):
+    sub.add_argument("--format", choices=["json", "csv", "text"], default=default)
+    sub.add_argument("--out", default=None, help="write output to a file instead of stdout")
+
+
+def _add_common(sub):
     sub.add_argument("--dim", type=int, required=True, help="Hilbert-space dimension d")
-    sub.add_argument("--n-bases", type=int, required=n_bases_required,
-                     help="number of measurement settings n")
-    sub.add_argument("--omega", type=float, default=1.0, help="energy gap (default 1.0)")
+    sub.add_argument("--n-bases", type=int, required=True, help="number of measurement settings n")
+    sub.add_argument("--omega", type=_finite_float(positive=True), default=1.0,
+                     help="energy gap (default 1.0)")
     sub.add_argument("--beta", type=float, default=1.0,
                      help="inverse temperature; 'inf' = zero temperature (default 1.0)")
-    sub.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    sub.add_argument("--out", default=None, help="write output to a file instead of stdout")
+    _add_output(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,26 +124,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("scan", help="sweep dimensions at n = d+1 and tabulate the advantage")
     p.add_argument("--dims", required=True,
                    help="comma-separated list of dimensions, e.g. 2,3,5,7")
-    p.add_argument("--omega", type=float, default=1.0)
+    p.add_argument("--omega", type=_finite_float(positive=True), default=1.0)
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--format", choices=["json", "csv", "text"], default="csv")
-    p.add_argument("--out", default=None)
+    _add_output(p, default="csv")
     p.set_defaults(func=cmd_scan)
 
     p = subs.add_parser("lhs-opt", help="maximize the unsteerable work and compare to the ceiling")
     _add_common(p)
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_finite_float(positive=False), default=1e-12)
     p.add_argument("--max-iter", type=int, default=500)
     p.set_defaults(func=cmd_lhs_opt)
 
     p = subs.add_parser("verify-mub", help="certify the overlap relations of a constructed family")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--n-bases", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    p.add_argument("--out", default=None)
+    p.add_argument("--tol", type=_finite_float(positive=False), default=1e-10)
+    _add_output(p)
     p.set_defaults(func=cmd_verify_mub)
 
     return parser
@@ -121,72 +149,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_bounds(args) -> int:
     bs = evaluate_bounds(args.dim, args.n_bases, args.omega, args.beta)
-    js = bs.to_json_dict()
-    if args.format == "json":
-        text = json.dumps(js, indent=2)
-    elif args.format == "csv":
-        keys = ["d", "n", "omega", "beta", "w_classical", "w_quantum", "xi", "rastegin", "advantage"]
-        text = ",".join(keys) + "\n" + ",".join(_csv_cell(js[k]) for k in keys)
-    else:
-        lines = [
-            f"d           = {bs.d}",
-            f"n           = {bs.n}",
-            f"omega       = {_fmt(bs.omega)}",
-            f"beta        = {_fmt(bs.beta)}",
-            f"w_classical = {_fmt(bs.w_classical)}",
-            f"w_quantum   = {_fmt(bs.w_quantum)}",
-            f"xi          = {_fmt(bs.xi)}",
-            f"rastegin    = {_fmt(bs.rastegin)}",
-            f"advantage   = {_fmt(bs.advantage)}",
-        ]
-        text = "\n".join(lines)
-    _emit(text, args.out)
+    row = bs.to_json_dict()
+    _render(args, row, [row], _labelled(row))
     return EXIT_OK if bs.xi is not None else EXIT_XI_DOMAIN
-
-
-def _render_work_report(report, fmt: str) -> str:
-    js = report.to_json_dict()
-    if fmt == "json":
-        return json.dumps(js, indent=2)
-    if fmt == "csv":
-        keys = ["d", "n", "omega", "beta", "mode", "shots", "seed",
-                "average", "stderr", "w_classical", "w_quantum", "xi"]
-        return ",".join(keys) + "\n" + ",".join(_csv_cell(js[k]) for k in keys)
-    lines = [
-        f"d           = {report.d}",
-        f"n           = {report.n}",
-        f"omega       = {_fmt(report.omega)}",
-        f"beta        = {_fmt(report.beta)}",
-        f"mode        = {report.mode}",
-        f"shots       = {report.shots}",
-        f"seed        = {report.seed if report.seed is not None else '-'}",
-        f"average     = {_fmt(report.average)}",
-        f"stderr      = {_fmt(report.stderr) if report.stderr is not None else '-'}",
-        f"w_classical = {_fmt(report.w_classical)}",
-        f"w_quantum   = {_fmt(report.w_quantum)}",
-        f"xi          = {_fmt(report.xi)}",
-        "per_round (settings x outcomes):",
-    ]
-    for row in report.per_round:
-        lines.append("  " + "  ".join(_fmt(float(w)) for w in row))
-    return "\n".join(lines)
 
 
 def cmd_simulate(args) -> int:
     config = GameConfig(d=args.dim, n=args.n_bases, omega=args.omega,
                         beta=args.beta, shots=args.shots, seed=args.seed)
     report = run_exact_quantum(config) if config.shots == 0 else run_monte_carlo(config)
-    _emit(_render_work_report(report, args.format), args.out)
+    payload = report.to_json_dict()
+    row = {k: v for k, v in payload.items() if k != "per_round"}
+    shown = {k: "-" if v is None and k in ("seed", "stderr") else v for k, v in row.items()}
+    text = _labelled(shown) + ["per_round (settings x outcomes):"]
+    text += ["  " + "  ".join(_fmt(w) for w in ws) for ws in payload["per_round"]]
+    _render(args, payload, [row], text)
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
     try:
-        dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
+        dims = [int(tok) for tok in args.dims.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad --dims list {args.dims!r}: {exc}") from exc
-    if not dims:
-        raise ValueError("empty --dims list")
     for d in dims:
         if not supported_family(d, d + 1):
             raise MubConstructionError(
@@ -197,107 +182,53 @@ def cmd_scan(args) -> int:
     for d in dims:
         bs = evaluate_bounds(d, d + 1, args.omega, args.beta)
         rows.append({
-            "d": d, "n": d + 1, "omega": args.omega, "beta": bs.to_json_dict()["beta"],
+            "d": d, "n": d + 1, "omega": args.omega, "beta": json_float(args.beta),
             "w_classical": bs.w_classical, "w_quantum": bs.w_quantum, "xi": bs.xi,
             "xi_over_sqrt_d": bs.xi / math.sqrt(d) if bs.xi is not None else None,
         })
-
-    cols = SCAN_HEADER.split(",")
-    if args.format == "json":
-        text = json.dumps(rows, indent=2)
-    elif args.format == "text":
-        lines = ["  ".join(f"{c:>14}" for c in cols)]
-        for row in rows:
-            lines.append("  ".join(f"{_fmt(row[c]):>14}" for c in cols))
-        text = "\n".join(lines)
-    else:
-        lines = [SCAN_HEADER]
-        for row in rows:
-            lines.append(",".join(_csv_cell(row[c]) for c in cols))
-        text = "\n".join(lines)
-    _emit(text, args.out)
+    table = [list(rows[0]), *(row.values() for row in rows)]
+    text = ["  ".join(f"{_fmt(v):>14}" for v in line) for line in table]
+    _render(args, rows, rows, text)
     return EXIT_OK
 
 
 def cmd_lhs_opt(args) -> int:
     mub = build_mub(args.dim, args.n_bases)
-    result = optimize_single_state(mub, restarts=args.restarts, tol=args.tol,
-                                   max_iter=args.max_iter, seed=args.seed)
-    model = deterministic_single_state_model(mub, result.best_state)
-    achievable = lhs_work(model, mub, args.omega, args.beta)
-    bs = evaluate_bounds(args.dim, args.n_bases, args.omega, args.beta)
-    gap = bs.w_classical - achievable
+    achievable, bound, result = lhs_sup_work(
+        args.dim, args.n_bases, args.omega, args.beta, restarts=args.restarts,
+        tol=args.tol, max_iter=args.max_iter, seed=args.seed, mub=mub)
+    gap = bound - achievable
+    oracle = bloch_grid_search(mub, resolution=500) if args.dim == 2 else None
+    agreement = abs(oracle.objective - result.objective) if oracle else None
 
-    oracle = None
-    agreement = None
-    if args.dim == 2:
-        oracle = bloch_grid_search(mub, resolution=500)
-        agreement = abs(oracle.objective - result.objective)
-
-    if args.format == "json":
-        payload = {
-            "d": args.dim, "n": args.n_bases, "omega": args.omega,
-            "beta": bs.to_json_dict()["beta"],
-            "optimizer": result.to_json_dict(),
-            "achievable_work": achievable,
-            "w_classical": bs.w_classical,
-            "gap": gap,
-            "oracle": oracle.to_json_dict() if oracle else None,
-            "oracle_agreement": agreement,
-        }
-        text = json.dumps(payload, indent=2)
-    elif args.format == "csv":
-        keys = ["d", "n", "omega", "beta", "objective", "achievable_work",
-                "w_classical", "gap", "oracle_objective", "oracle_agreement"]
-        vals = [args.dim, args.n_bases, args.omega, bs.to_json_dict()["beta"],
-                result.objective, achievable, bs.w_classical, gap,
-                oracle.objective if oracle else None, agreement]
-        text = ",".join(keys) + "\n" + ",".join(_csv_cell(v) for v in vals)
-    else:
-        lines = [
-            f"d               = {args.dim}",
-            f"n               = {args.n_bases}",
-            f"objective       = {_fmt(result.objective)}",
-            f"achievable_work = {_fmt(achievable)}",
-            f"w_classical     = {_fmt(bs.w_classical)}",
-            f"gap             = {_fmt(gap)}",
-            f"restarts        = {result.restarts_used}",
-            f"iterations      = {result.iterations}",
-            f"converged       = {_fmt(result.converged)}",
-        ]
-        if oracle is not None:
-            lines.append(f"oracle_objective  = {_fmt(oracle.objective)}")
-            lines.append(f"oracle_agreement  = {_fmt(agreement)}")
-        text = "\n".join(lines)
-    _emit(text, args.out)
+    head = {"d": args.dim, "n": args.n_bases, "omega": args.omega, "beta": json_float(args.beta)}
+    work = {"achievable_work": achievable, "w_classical": bound, "gap": gap}
+    checks = {"oracle_objective": oracle.objective if oracle else None,
+              "oracle_agreement": agreement}
+    payload = {**head, "optimizer": result.to_json_dict(), **work,
+               "oracle": oracle.to_json_dict() if oracle else None,
+               "oracle_agreement": agreement}
+    row = {**head, "objective": result.objective, **work, **checks}
+    fields = {"d": args.dim, "n": args.n_bases, "objective": result.objective, **work,
+              "restarts": result.restarts_used, "iterations": result.iterations,
+              "converged": result.converged, **(checks if oracle else {})}
+    _render(args, payload, [row], _labelled(fields))
     return EXIT_OK
 
 
 def cmd_verify_mub(args) -> int:
-    mub = build_mub(args.dim, args.n_bases)
-    report = verify_mub(mub, tol=args.tol)
-    x, a, y, b = report.worst_pair
-    if args.format == "json":
-        text = json.dumps({
-            "d": args.dim, "n": args.n_bases, "tol": args.tol,
-            "passed": report.passed, "max_deviation": report.max_deviation,
-            "worst_pair": {"x": x, "a": a, "y": y, "b": b},
-        }, indent=2)
-    elif args.format == "csv":
-        text = ("d,n,tol,passed,max_deviation,x,a,y,b\n"
-                + ",".join(_csv_cell(v) for v in
-                           [args.dim, args.n_bases, args.tol, report.passed,
-                            report.max_deviation, x, a, y, b]))
-    else:
-        status = "PASS" if report.passed else "FAIL"
-        lines = [
-            f"{status}: {args.n_bases} bases in dimension {args.dim} at tol {_fmt(args.tol)}",
-            f"max deviation = {_fmt(report.max_deviation)}",
-        ]
-        if not report.passed:
-            lines.append(f"worst pair: basis {x} vector {a} vs basis {y} vector {b}")
-        text = "\n".join(lines)
-    _emit(text, args.out)
+    report = verify_mub(build_mub(args.dim, args.n_bases), tol=args.tol)
+    head = {"d": args.dim, "n": args.n_bases, "tol": args.tol,
+            "passed": report.passed, "max_deviation": report.max_deviation}
+    pair = dict(zip("xayb", report.worst_pair))
+    text = [
+        f"{'PASS' if report.passed else 'FAIL'}: {args.n_bases} bases in dimension "
+        f"{args.dim} at tol {_fmt(args.tol)}",
+        f"max deviation = {_fmt(report.max_deviation)}",
+    ]
+    if not report.passed:
+        text.append("worst pair: basis {x} vector {a} vs basis {y} vector {b}".format(**pair))
+    _render(args, {**head, "worst_pair": pair}, [{**head, **pair}], text)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
@@ -312,7 +243,7 @@ def main(argv=None) -> int:
     except MubConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

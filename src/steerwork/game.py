@@ -130,7 +130,7 @@ class WorkReport:
             "d": self.d,
             "n": self.n,
             "omega": self.omega,
-            "beta": bounds_mod._json_float(self.beta),
+            "beta": bounds_mod.json_float(self.beta),
             "mode": self.mode,
             "shots": self.shots,
             "seed": self.seed,
@@ -260,12 +260,10 @@ def average_work(asm: Assemblage, mub: MubSet, omega: float, beta: float) -> Wor
 
 
 def _report(d, n, omega, beta, *, mode, shots, seed, average, stderr, per_round) -> WorkReport:
-    wc = bounds_mod.w_classical(d, n, omega, beta)
-    wq = bounds_mod.w_quantum(d, omega, beta)
-    ratio = wq / wc if wc > 0.0 else None
+    bs = bounds_mod.evaluate_bounds(d, n, omega, beta)
     return WorkReport(d=d, n=n, omega=omega, beta=beta, mode=mode, shots=shots,
-                      seed=seed, average=average, stderr=stderr,
-                      w_classical=wc, w_quantum=wq, xi=ratio, per_round=per_round)
+                      seed=seed, average=average, stderr=stderr, w_classical=bs.w_classical,
+                      w_quantum=bs.w_quantum, xi=bs.xi, per_round=per_round)
 
 
 def _quantum_protocol(config: GameConfig) -> tuple[Assemblage, MubSet]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .game import Assemblage, average_work
-from .mub import MubSet
+from .mub import MubSet, build_mub
 from .qmath import (
     check_density_matrix,
     principal_eigenvector,
@@ -61,10 +61,6 @@ class LhsModel:
             raise ValueError("response rows are not probability vectors")
         for k in range(L):
             check_density_matrix(self.states[k], tol_construct=1e-10)
-
-    @property
-    def hidden_states(self) -> int:
-        return self.states.shape[0]
 
 
 @dataclass
@@ -219,16 +215,15 @@ def deterministic_single_state_model(mub: MubSet, psi: np.ndarray) -> LhsModel:
 
 def lhs_sup_work(d: int, n: int, omega: float, beta: float, restarts: int = 32,
                  tol: float = 1e-12, max_iter: int = 500, seed: int = 0,
-                 mub: MubSet | None = None) -> tuple[float, float]:
+                 mub: MubSet | None = None) -> tuple[float, float, OptimizerResult]:
     """Best LHS work found numerically, next to the closed-form ceiling.
 
-    Returns (achievable, bound). The achievable side is realized by running
-    the full game pipeline on the deterministic single-state model built
-    from the optimizer's best state, which equals
-    omega * objective - omega * ground_population analytically.
+    Returns (achievable, bound, result) with result the optimizer's output.
+    The achievable side is realized by running the full game pipeline on
+    the deterministic single-state model built from the optimizer's best
+    state, which equals omega * objective - omega * ground_population
+    analytically.
     """
-    from .mub import build_mub
-
     if mub is None:
         mub = build_mub(d, n)
     result = optimize_single_state(mub, restarts=restarts, tol=tol,
@@ -236,7 +231,7 @@ def lhs_sup_work(d: int, n: int, omega: float, beta: float, restarts: int = 32,
     model = deterministic_single_state_model(mub, result.best_state)
     achievable = lhs_work(model, mub, omega, beta)
     bound = bounds_mod.w_classical(d, n, omega, beta)
-    return achievable, bound
+    return achievable, bound, result
 
 
 def random_lhs_model(d: int, n: int, rng: np.random.Generator,

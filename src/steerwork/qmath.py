@@ -24,10 +24,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def is_hermitian(m: np.ndarray, tol: float = ATOL_PSD) -> bool:
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - dagger(m))) <= tol
-
-
 def check_hermitian(m: np.ndarray, tol: float = ATOL_PSD) -> None:
     """Raise ValueError unless m is square and Hermitian within tol."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -116,7 +116,7 @@ def test_criterion_4_qubit_tightness():
         assert abs(opt.objective - target) < 1e-6
         assert abs(grid.objective - target) < 1e-6
         for beta in [0.0, 0.5, 1.0, 2.0]:
-            achievable, bound = lhs_sup_work(2, 3, 1.0, beta, restarts=32, seed=0)
+            achievable, bound, _ = lhs_sup_work(2, 3, 1.0, beta, restarts=32, seed=0)
             assert abs(achievable - w_classical(2, 3, 1.0, beta)) < 1e-6
             assert abs(bound - w_classical(2, 3, 1.0, beta)) < 1e-15
 

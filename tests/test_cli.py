@@ -66,6 +66,11 @@ class TestBounds:
         code, _, _ = run_cli(capsys, "bounds", "--dim", "2", "--n-bases", "3",
                              "--omega", "-1")
         assert code == 2
+        for omega in ["inf", "nan", "0"]:
+            code, out, _ = run_cli(capsys, "bounds", "--dim", "2", "--n-bases", "3",
+                                   "--omega", omega, "--format", "json")
+            assert code == 2
+            assert out == ""
 
 
 class TestSimulate:
@@ -98,6 +103,9 @@ class TestSimulate:
     def test_invalid_config(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--dim", "2", "--n-bases", "3",
                              "--shots", "-5")
+        assert code == 2
+        code, _, _ = run_cli(capsys, "simulate", "--dim", "2", "--n-bases", "3",
+                             "--omega", "inf", "--shots", "10")
         assert code == 2
 
     def test_csv_format(self, capsys):
@@ -133,6 +141,13 @@ class TestScan:
     def test_empty_dims(self, capsys):
         code, _, _ = run_cli(capsys, "scan", "--dims", "")
         assert code == 2
+
+    @pytest.mark.parametrize("dims", ["2,,3", "2,3,"])
+    def test_empty_dims_token(self, capsys, dims):
+        code, out, err = run_cli(capsys, "scan", "--dims", dims)
+        assert code == 2
+        assert out == ""
+        assert "bad --dims list" in err
 
     def test_unsupported_dim(self, capsys):
         code, _, _ = run_cli(capsys, "scan", "--dims", "2,6")
@@ -177,6 +192,12 @@ class TestLhsOpt:
         code, _, _ = run_cli(capsys, "lhs-opt", "--dim", "4", "--n-bases", "3")
         assert code == 4
 
+    @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "inf"),
+                                             ("--tol", "-1"), ("--omega", "inf")])
+    def test_invalid_flags(self, capsys, flag, value):
+        code, _, _ = run_cli(capsys, "lhs-opt", "--dim", "2", "--n-bases", "3", flag, value)
+        assert code == 2
+
 
 class TestVerifyMub:
     def test_pass_large_prime(self, capsys):
@@ -200,6 +221,13 @@ class TestVerifyMub:
         code, _, _ = run_cli(capsys, "verify-mub", "--dim", "6", "--n-bases", "4")
         assert code == 4
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_invalid_flags(self, capsys, tol):
+        code, out, _ = run_cli(capsys, "verify-mub", "--dim", "3", "--n-bases", "4",
+                               "--tol", tol)
+        assert code == 2
+        assert out == ""
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify-mub", "--dim", "5", "--n-bases", "6",
                                "--format", "json")
@@ -207,6 +235,52 @@ class TestVerifyMub:
         data = json.loads(out)
         assert data["passed"] is True
         assert data["max_deviation"] < 1e-12
+
+
+SHAPES = {
+    "bounds": (["--dim", "2", "--n-bases", "3"],
+               "d,n,omega,beta,w_classical,w_quantum,xi,rastegin,advantage",
+               ["d", "n", "omega", "beta", "w_classical", "w_quantum", "xi", "rastegin",
+                "advantage"]),
+    "simulate": (["--dim", "2", "--n-bases", "3"],
+                 "d,n,omega,beta,mode,shots,seed,average,stderr,w_classical,w_quantum,xi",
+                 ["d", "n", "omega", "beta", "mode", "shots", "seed", "average", "stderr",
+                  "w_classical", "w_quantum", "xi", "per_round"]),
+    "scan": (["--dims", "2,3"],
+             "d,n,omega,beta,w_classical,w_quantum,xi,xi_over_sqrt_d",
+             ["d", "n", "omega", "beta", "w_classical", "w_quantum", "xi", "xi_over_sqrt_d"]),
+    "lhs-opt": (["--dim", "3", "--n-bases", "4", "--restarts", "2"],
+                "d,n,omega,beta,objective,achievable_work,w_classical,gap,"
+                "oracle_objective,oracle_agreement",
+                ["d", "n", "omega", "beta", "optimizer", "achievable_work", "w_classical",
+                 "gap", "oracle", "oracle_agreement"]),
+    "verify-mub": (["--dim", "3", "--n-bases", "4"],
+                   "d,n,tol,passed,max_deviation,x,a,y,b",
+                   ["d", "n", "tol", "passed", "max_deviation", "worst_pair"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SHAPES))
+def test_output_shape(capsys, command):
+    argv, csv_header, json_keys = SHAPES[command]
+    code, out, _ = run_cli(capsys, command, *argv, "--format", "csv")
+    assert code == 0
+    assert out.split("\n")[0] == csv_header
+    code, out, _ = run_cli(capsys, command, *argv, "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    for obj in data if isinstance(data, list) else [data]:
+        assert list(obj) == json_keys
+
+
+def test_out_to_missing_directory(capsys, tmp_path):
+    target = tmp_path / "missing" / "bounds.txt"
+    code, out, err = run_cli(capsys, "bounds", "--dim", "3", "--n-bases", "4",
+                             "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
 
 
 class TestEntryPoint:

@@ -192,12 +192,12 @@ class TestBlochGridSearch:
 class TestLhsSupWork:
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0])
     def test_qubit_tightness(self, beta):
-        achievable, bound = lhs_sup_work(2, 3, 1.0, beta, restarts=16, seed=0)
+        achievable, bound, _ = lhs_sup_work(2, 3, 1.0, beta, restarts=16, seed=0)
         assert abs(achievable - bound) < 1e-6
         assert abs(bound - w_classical(2, 3, 1.0, beta)) < 1e-15
 
     def test_qutrit_gap_recorded(self):
-        achievable, bound = lhs_sup_work(3, 4, 1.0, 1.0, restarts=32, seed=0)
+        achievable, bound, _ = lhs_sup_work(3, 4, 1.0, 1.0, restarts=32, seed=0)
         assert achievable <= bound + 1e-8
         # the gap is a finding, not a failure: omega * (2/3 - cos^2(pi/5))
         assert bound - achievable == pytest.approx(2 / 3 - QUTRIT_ATTAINED_N4, abs=1e-6)
@@ -205,7 +205,7 @@ class TestLhsSupWork:
     def test_infinite_temperature_identity(self):
         mub = build_mub(2, 3)
         result = optimize_single_state(mub, restarts=16, seed=4)
-        achievable, _ = lhs_sup_work(2, 3, 1.0, 0.0, restarts=16, seed=4)
+        achievable, _, _ = lhs_sup_work(2, 3, 1.0, 0.0, restarts=16, seed=4)
         assert abs(achievable - (result.objective - 0.5)) < 1e-12
 
 
