@@ -235,7 +235,12 @@ def work_term(rho_hat: np.ndarray, h: np.ndarray, beta: float) -> float:
 
 
 def _work_table(asm: Assemblage, mub: MubSet, omega: float, beta: float) -> np.ndarray:
-    """Per-round works W(rho_hat_{a|x}, H_{a|x}); zero-probability rounds are 0."""
+    """Per-round works W(rho_hat_{a|x}, H_{a|x}); zero-probability rounds are 0.
+
+    Computed in units of omega (unit-gap H at inverse temperature beta*omega)
+    and scaled by omega once, so work_term's absolute tolerances hold at
+    every energy scale.
+    """
     if asm.d != mub.d or asm.n != mub.n or asm.outcomes != mub.d:
         raise ValueError(
             f"assemblage ({asm.d}, {asm.n}, {asm.outcomes} outcomes) does not "
@@ -246,9 +251,9 @@ def _work_table(asm: Assemblage, mub: MubSet, omega: float, beta: float) -> np.n
         for a in range(asm.outcomes):
             if asm.p[x, a] < P_EPS:
                 continue
-            h = hamiltonian(mub, a, x, omega)
-            table[x, a] = work_term(asm.conditional_state(x, a), h, beta)
-    return table
+            h = hamiltonian(mub, a, x, 1.0)
+            table[x, a] = work_term(asm.conditional_state(x, a), h, beta * omega)
+    return omega * table
 
 
 def average_work(asm: Assemblage, mub: MubSet, omega: float, beta: float) -> WorkReport:
@@ -298,11 +303,11 @@ def run_exact_quantum(config: GameConfig) -> WorkReport:
     """Exact average work of the entanglement-powered protocol.
 
     The report's average equals the closed-form quantum ceiling within
-    1e-10; that identity is asserted before returning.
+    1e-10 in units of omega; that identity is asserted before returning.
     """
     asm, mub = _quantum_protocol(config)
     report = average_work(asm, mub, config.omega, config.beta)
-    if abs(report.average - report.w_quantum) > 1e-10:
+    if abs(report.average - report.w_quantum) / config.omega > 1e-10:
         raise RuntimeError(
             f"protocol average {report.average!r} deviates from the quantum "
             f"ceiling {report.w_quantum!r}"

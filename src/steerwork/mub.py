@@ -20,6 +20,7 @@ the computational basis (for d = 2 that is the Z eigenbasis).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,21 +179,29 @@ def verify_mub(mub: MubSet, tol: float = 1e-10) -> MubVerification:
 
     Report-style: never raises on a bad set, just flags it with the worst
     deviation and the indices where it occurs.
+
+    The Gram matrix is built one block row at a time: basis x is compared
+    with bases y >= x only, since |<u|v>| = |<v|u>|, so memory peaks at one
+    d x nd block. worst_pair is the first worst pair in block order (x,
+    then a, then y, then b); pairs whose deviations tie to rounding may be
+    named differently than by a full-matrix scan. A NaN anywhere makes
+    max_deviation NaN and the set fail.
     """
     d, n = mub.d, mub.n
     flat = mub.bases.reshape(n * d, d)
-    gram = np.abs(flat.conj() @ flat.T)
-
-    expected = np.full((n * d, n * d), 1.0 / np.sqrt(d))
+    max_dev, worst = -np.inf, (0, 0, 0, 0)
     for x in range(n):
-        block = slice(x * d, (x + 1) * d)
-        expected[block, block] = np.eye(d)
-
-    dev = np.abs(gram - expected)
-    flat_idx = int(np.argmax(dev))
-    i, j = divmod(flat_idx, n * d)
-    worst = (i // d, i % d, j // d, j % d)
-    max_dev = float(dev[i, j])
+        dev = np.abs(mub.bases[x].conj() @ flat[x * d:].T)
+        dev[:, :d] -= np.eye(d)
+        dev[:, d:] -= 1.0 / np.sqrt(d)
+        np.abs(dev, out=dev)
+        a, col = divmod(int(np.argmax(dev)), dev.shape[1])
+        block_dev = float(dev[a, col])
+        # argmax returns a block's first NaN, but `>` never picks one up
+        if block_dev > max_dev or math.isnan(block_dev):
+            max_dev, worst = block_dev, (x, a, x + col // d, col % d)
+            if math.isnan(block_dev):
+                break
     return MubVerification(passed=max_dev <= tol, max_deviation=max_dev,
                            worst_pair=worst, tol=tol)
 

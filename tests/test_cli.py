@@ -273,6 +273,37 @@ def test_output_shape(capsys, command):
         assert list(obj) == json_keys
 
 
+def _numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--dim", "5", "--n-bases", "6", "--omega", "1e6"],
+    ["simulate", "--dim", "5", "--n-bases", "6", "--omega", "1e7"],
+    ["simulate", "--dim", "23", "--n-bases", "24", "--omega", "1e6"],
+    ["simulate", "--dim", "2", "--n-bases", "3", "--omega", "1e300", "--beta", "1"],
+    ["simulate", "--dim", "3", "--n-bases", "4", "--omega", "1e200", "--beta", "1e-200"],
+    ["lhs-opt", "--dim", "3", "--n-bases", "4", "--omega", "1e8"],
+], ids=lambda argv: "-".join(argv[:1] + argv[2:7:2] + argv[8:9]))
+def test_large_omega(capsys, argv):
+    # the absolute tolerances hold in units of omega, so none of these may fail
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    data = json.loads(out)
+    assert all(math.isfinite(v) for v in _numbers(data))
+    omega = data["omega"]
+    if argv[0] == "simulate":
+        assert abs(data["average"] - data["w_quantum"]) <= 1e-10 * omega
+    else:
+        assert data["achievable_work"] <= data["w_classical"] + 1e-10 * omega
+
+
 def test_out_to_missing_directory(capsys, tmp_path):
     target = tmp_path / "missing" / "bounds.txt"
     code, out, err = run_cli(capsys, "bounds", "--dim", "3", "--n-bases", "4",

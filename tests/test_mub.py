@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -88,22 +90,78 @@ class TestVerifyMub:
         assert abs(report.max_deviation - 1 / np.sqrt(2)) < 1e-12
         x, _, y, _ = report.worst_pair
         assert x != y
+        # exact ties in every cross block: the first worst pair in block order wins
+        report = verify_mub(MubSet(d=2, n=3, bases=np.stack([eye, eye, eye])))
+        assert report.worst_pair == (0, 0, 1, 1)
+        # the copy overwrites the first or the last basis, the edges of the block rows
+        for dst, src in [(0, 1), (3, 0), (3, 2)]:
+            bases = build_mub(3, 4).bases.copy()
+            bases[dst] = bases[src]
+            report = verify_mub(MubSet(d=3, n=4, bases=bases))
+            assert not report.passed
+            assert abs(report.max_deviation - 1 / np.sqrt(3)) < 1e-12
+            x, _, y, _ = report.worst_pair
+            assert {x, y} == {dst, src}
 
     def test_denormalized_vector_fails(self):
         mub = build_mub(2, 3)
-        bases = mub.bases.copy()
-        bases[1, 0] *= 0.9
-        report = verify_mub(MubSet(d=2, n=3, bases=bases))
-        assert not report.passed
-        assert report.max_deviation > 0.05
+        for x in (0, 1, 2):
+            bases = mub.bases.copy()
+            bases[x, 0] *= 0.9
+            report = verify_mub(MubSet(d=2, n=3, bases=bases))
+            assert not report.passed
+            assert report.max_deviation > 0.05
+            # the norm defect 1 - 0.81 outweighs every cross-overlap defect
+            assert report.worst_pair == (x, 0, x, 0)
 
     def test_phase_perturbed_vector_fails(self):
         mub = build_mub(3, 4)
-        bases = mub.bases.copy()
-        bases[2, 1, 0] *= np.exp(1j * 1e-3)
-        report = verify_mub(MubSet(d=3, n=4, bases=bases))
+        # a common unitary keeps the set unbiased and makes basis 0 dense, so a
+        # phase kick on one component is not a global phase there
+        rng = np.random.default_rng(3)
+        u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        rotated = mub.bases @ u.T
+        assert verify_mub(MubSet(d=3, n=4, bases=rotated)).passed
+        for x in (0, 2, 3):
+            bases = rotated.copy()
+            bases[x, 1, 0] *= np.exp(1j * 1e-3)
+            report = verify_mub(MubSet(d=3, n=4, bases=bases))
+            assert not report.passed
+            assert report.max_deviation > 1e-5
+            wx, wa, wy, wb = report.worst_pair
+            assert (x, 1) in [(wx, wa), (wy, wb)]
+
+    @pytest.mark.parametrize("bad", [np.nan, complex(0.5, np.nan), np.inf])
+    @pytest.mark.parametrize("x", [0, 5])
+    def test_non_finite_amplitude_fails(self, x, bad):
+        bases = build_mub(5, 6).bases.copy()
+        bases[x, 2, 3] = bad
+        with np.errstate(invalid="ignore"):
+            report = verify_mub(MubSet(d=5, n=6, bases=bases))
         assert not report.passed
-        assert report.max_deviation > 1e-5
+        assert np.isnan(report.max_deviation)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_matches_exhaustive_check(self, d):
+        mub = build_mub(d, d + 1)
+        report = verify_mub(mub)
+        assert abs(report.max_deviation - exhaustive_overlap_check(mub, 1e-12)) <= 1e-15
+        x, a, y, b = report.worst_pair
+        ov = abs(np.vdot(mub.vector(x, a), mub.vector(y, b)))
+        expect = (1.0 if a == b else 0.0) if x == y else 1.0 / np.sqrt(d)
+        assert abs(abs(ov - expect) - report.max_deviation) <= 1e-15
+
+    def test_memory_one_block_row(self):
+        # the full (nd)^2 Gram matrix at d = 61 would take about 440 MB
+        mub = build_mub(61, 62)
+        tracemalloc.start()
+        try:
+            report = verify_mub(mub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 32 * 2**20, f"peak allocation {peak / 2**20:.1f} MB"
 
     def test_tolerance_semantics(self):
         # rounding noise sits around 1e-16, so an absurdly tight tolerance fails
