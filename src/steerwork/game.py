@@ -7,9 +7,13 @@ bath at inverse temperature beta, and quenches back. The net work of the
 round is -Tr(H rho) + Tr(H gamma) with gamma the Gibbs state of H; the
 figure of merit is the average over uniform x and the outcome statistics.
 
-Exact mode evaluates the full double sum over (a, x); Monte Carlo mode
-samples rounds operationally with a seeded counter-based generator so that
-reports are bit-reproducible.
+H has rank 1, so the work of a round is omega (F - P), with F the fidelity
+of Bob's state with |phi_x^a> and P the ground-level Gibbs population; the
+pipeline evaluates that closed form for all (a, x) at once, in units of
+omega. hamiltonian, thermal_state and work_term evaluate one round by
+diagonalization and remain as the general reference. Exact mode sums over
+(a, x); Monte Carlo mode samples rounds operationally with a seeded
+counter-based generator so that reports are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -20,12 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds as bounds_mod
-from .mub import MubSet, build_mub, conjugate_basis
+from .mub import MubSet, build_mub
 from .qmath import (
     check_hermitian,
     check_povm,
     dagger,
-    expectation,
     hermitian_eigensystem,
     projector,
 )
@@ -152,41 +155,34 @@ def maximally_entangled(d: int) -> np.ndarray:
     return projector(psi)
 
 
-def projective_povm(basis: np.ndarray) -> list[np.ndarray]:
-    """Rank-1 projectors onto the rows of an orthonormal basis array."""
-    return [projector(vec) for vec in basis]
+def projective_povm(basis: np.ndarray) -> np.ndarray:
+    """Rank-1 projectors onto the rows of a (..., d, d) stack of bases."""
+    b = np.asarray(basis, dtype=complex)
+    return b[..., :, None] * b.conj()[..., None, :]
 
 
-def measure_assemblage(rho_ab: np.ndarray, povms: list[list[np.ndarray]]) -> Assemblage:
+def measure_assemblage(rho_ab: np.ndarray, povms: np.ndarray) -> Assemblage:
     """Bob's assemblage from measuring rho_AB with one POVM per setting.
 
-    sigma_{a|x} = Tr_A[(M_x^a (x) I_B) rho_AB], contracted directly on the
-    A indices; p(a|x) is its trace.
+    povms holds the effects M_x^a with shape (n, m, dA, dA); nested lists
+    are stacked. sigma_{a|x} = Tr_A[(M_x^a (x) I_B) rho_AB] for every
+    (x, a) in one contraction on the A indices; p(a|x) is its trace.
     """
     dim = rho_ab.shape[0]
     if rho_ab.ndim != 2 or rho_ab.shape[1] != dim:
         raise ValueError(f"expected a square matrix, got shape {rho_ab.shape}")
-    if not povms:
-        raise ValueError("need at least one POVM")
-    da = povms[0][0].shape[0]
+    effects = np.asarray(povms)
+    if effects.ndim != 4 or effects.shape[0] == 0:
+        raise ValueError(f"expected effects of shape (n, m, dA, dA), got {effects.shape}")
+    n, _, da, _ = effects.shape
     if dim % da != 0:
         raise ValueError(f"POVM dimension {da} does not divide state dimension {dim}")
     db = dim // da
-    m = len(povms[0])
-    n = len(povms)
-    for effects in povms:
-        if len(effects) != m:
-            raise ValueError("all settings must have the same number of outcomes")
-        check_povm(effects)
-        if effects[0].shape[0] != da:
-            raise ValueError("all POVMs must act on the same dimension")
+    for setting in effects:
+        check_povm(setting)
 
-    r4 = rho_ab.reshape(da, db, da, db)
-    sigma = np.empty((n, m, db, db), dtype=complex)
-    for x, effects in enumerate(povms):
-        for a, eff in enumerate(effects):
-            # Tr_A[(M (x) I) rho] index by index: sum_{i,j} M_ij rho[(j,k),(i,l)]
-            sigma[x, a] = np.einsum("ij,jkil->kl", eff, r4)
+    # Tr_A[(M (x) I) rho] index by index: sum_{i,j} M_ij rho[(j,k),(i,l)]
+    sigma = np.einsum("xaij,jkil->xakl", effects, rho_ab.reshape(da, db, da, db))
     p = np.einsum("xaii->xa", sigma).real
     return Assemblage(d=db, n=n, sigma=sigma, p=p)
 
@@ -234,34 +230,38 @@ def work_term(rho_hat: np.ndarray, h: np.ndarray, beta: float) -> float:
     return -t_state.real + t_thermal.real
 
 
-def _work_table(asm: Assemblage, mub: MubSet, omega: float, beta: float) -> np.ndarray:
-    """Per-round works W(rho_hat_{a|x}, H_{a|x}); zero-probability rounds are 0.
+def _fidelities(asm: Assemblage, mub: MubSet) -> np.ndarray:
+    """F[x, a] = <phi_x^a| sigma_{a|x} |phi_x^a> / p(a|x); 0 where p < P_EPS.
 
-    Computed in units of omega (unit-gap H at inverse temperature beta*omega)
-    and scaled by omega once, so work_term's absolute tolerances hold at
-    every energy scale.
+    Raises ValueError when some Im F exceeds 1e-10, which Hermitian
+    conditional states cannot produce.
     """
     if asm.d != mub.d or asm.n != mub.n or asm.outcomes != mub.d:
         raise ValueError(
             f"assemblage ({asm.d}, {asm.n}, {asm.outcomes} outcomes) does not "
             f"match MUB set ({mub.d}, {mub.n})"
         )
-    table = np.zeros((asm.n, asm.outcomes))
-    for x in range(asm.n):
-        for a in range(asm.outcomes):
-            if asm.p[x, a] < P_EPS:
-                continue
-            h = hamiltonian(mub, a, x, 1.0)
-            table[x, a] = work_term(asm.conditional_state(x, a), h, beta * omega)
-    return omega * table
+    overlap = np.einsum("xaj,xajk,xak->xa", mub.bases.conj(), asm.sigma, mub.bases)
+    fid = np.divide(overlap, asm.p, out=np.zeros_like(overlap), where=asm.p >= P_EPS)
+    residue = float(np.max(np.abs(fid.imag)))
+    if residue > 1e-10:
+        raise ValueError(f"non-Hermitian inputs: imaginary trace residue {residue:.3e}")
+    return fid.real
+
+
+def _work_table(asm: Assemblage, mub: MubSet, omega: float, beta: float) -> np.ndarray:
+    """Per-round works F - P in units of omega; zero-probability rounds are 0."""
+    fid = _fidelities(asm, mub)
+    pop = bounds_mod.ground_state_population(asm.d, omega, beta)
+    return np.where(asm.p >= P_EPS, fid - pop, 0.0)
 
 
 def average_work(asm: Assemblage, mub: MubSet, omega: float, beta: float) -> WorkReport:
     """Average extracted work (1/n) sum_{a,x} p(a|x) W(rho_{a|x}, H_{a|x})."""
     table = _work_table(asm, mub, omega, beta)
-    avg = float(np.sum(asm.p * table) / asm.n)
+    avg = omega * float(np.sum(asm.p * table) / asm.n)
     return _report(asm.d, asm.n, omega, beta, mode="exact", shots=0, seed=None,
-                   average=avg, stderr=None, per_round=table)
+                   average=avg, stderr=None, per_round=omega * table)
 
 
 def _report(d, n, omega, beta, *, mode, shots, seed, average, stderr, per_round) -> WorkReport:
@@ -279,23 +279,21 @@ def _quantum_protocol(config: GameConfig) -> tuple[Assemblage, MubSet]:
     are theorems, so a violation means an implementation bug.
     """
     mub = build_mub(config.d, config.n)
-    rho_ab = maximally_entangled(config.d)
-    povms = [projective_povm(conjugate_basis(mub, x)) for x in range(config.n)]
-    asm = measure_assemblage(rho_ab, povms)
+    asm = measure_assemblage(maximally_entangled(config.d), projective_povm(mub.bases.conj()))
 
-    for x in range(config.n):
-        for a in range(config.d):
-            if abs(asm.p[x, a] - 1.0 / config.d) > 1e-10:
-                raise RuntimeError(
-                    f"protocol identity broken: p({a}|{x}) = {asm.p[x, a]!r}, "
-                    f"expected 1/d"
-                )
-            fid = expectation(asm.conditional_state(x, a), mub.vector(x, a))
-            if abs(fid - 1.0) > 1e-10:
-                raise RuntimeError(
-                    f"protocol identity broken: conditional state ({a}|{x}) has "
-                    f"fidelity {fid!r} with its basis projector"
-                )
+    p_dev = np.abs(asm.p - 1.0 / config.d)
+    x, a = np.unravel_index(np.argmax(p_dev), p_dev.shape)
+    if p_dev[x, a] > 1e-10:
+        raise RuntimeError(
+            f"protocol identity broken: p({a}|{x}) = {asm.p[x, a]!r}, expected 1/d"
+        )
+    fid = _fidelities(asm, mub)
+    x, a = np.unravel_index(np.argmax(np.abs(fid - 1.0)), fid.shape)
+    if abs(fid[x, a] - 1.0) > 1e-10:
+        raise RuntimeError(
+            f"protocol identity broken: conditional state ({a}|{x}) has "
+            f"fidelity {fid[x, a]!r} with its basis projector"
+        )
     return asm, mub
 
 
@@ -336,8 +334,8 @@ def run_monte_carlo(config: GameConfig) -> WorkReport:
     a_idx = np.minimum((cdf[xs] <= us[:, None]).sum(axis=1), asm.outcomes - 1)
     works = table[xs, a_idx]
 
-    mean = float(np.mean(works))
-    stderr = float(np.std(works, ddof=1) / math.sqrt(config.shots)) if config.shots > 1 else 0.0
-    return _report(config.d, config.n, config.omega, config.beta, mode="monte_carlo",
-                   shots=config.shots, seed=config.seed, average=mean, stderr=stderr,
-                   per_round=table)
+    spread = float(np.std(works, ddof=1) / math.sqrt(config.shots)) if config.shots > 1 else 0.0
+    omega = config.omega
+    return _report(config.d, config.n, omega, config.beta, mode="monte_carlo",
+                   shots=config.shots, seed=config.seed, average=omega * float(np.mean(works)),
+                   stderr=omega * spread, per_round=omega * table)

@@ -135,10 +135,8 @@ def optimize_single_state(mub: MubSet, restarts: int = 32, tol: float = 1e-12,
         converged = False
         for _ in range(max_iter):
             picks = np.argmax(np.abs(mub.bases.conj() @ psi) ** 2, axis=1)
-            avg_proj = np.zeros((d, d), dtype=complex)
-            for x in range(n):
-                avg_proj += projector(mub.vector(x, int(picks[x])))
-            psi = principal_eigenvector(avg_proj / n)
+            picked = mub.bases[np.arange(n), picks]
+            psi = principal_eigenvector(picked.T @ picked.conj() / n)
             new_obj = mub_overlap_objective(mub, psi)
             total_iters += 1
             if new_obj < obj - 1e-12:

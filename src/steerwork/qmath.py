@@ -129,25 +129,24 @@ def check_density_matrix(rho: np.ndarray, tol_construct: float = ATOL_CONSTRUCT,
         raise ValueError(f"smallest eigenvalue {lo:.3e} below -{tol_psd:.1e}")
 
 
-def check_povm(effects: list[np.ndarray], tol: float = ATOL_PSD) -> None:
-    """Raise ValueError unless the effects form a POVM.
+def check_povm(effects: np.ndarray, tol: float = ATOL_PSD) -> None:
+    """Raise ValueError unless the (m, d, d) stack of effects forms a POVM.
 
     Each effect must be Hermitian and PSD within tol, and the effects must
     sum to the identity within tol.
     """
-    if not effects:
-        raise ValueError("a POVM needs at least one effect")
-    dim = effects[0].shape[0]
-    total = np.zeros((dim, dim), dtype=complex)
-    for k, e in enumerate(effects):
-        if e.shape != (dim, dim):
-            raise ValueError(f"effect {k} has shape {e.shape}, expected {(dim, dim)}")
-        check_hermitian(e, tol)
-        lo = float(np.linalg.eigvalsh(e)[0])
-        if lo < -tol:
-            raise ValueError(f"effect {k} not PSD: smallest eigenvalue {lo:.3e}")
-        total += e
-    dev = float(np.max(np.abs(total - np.eye(dim))))
+    e = np.asarray(effects)
+    if e.ndim != 3 or e.shape[0] == 0 or e.shape[1] != e.shape[2]:
+        raise ValueError(f"expected a nonempty (m, d, d) stack of effects, got shape {e.shape}")
+    herm = np.max(np.abs(e - e.conj().transpose(0, 2, 1)), axis=(1, 2))
+    k = int(np.argmax(herm))
+    if herm[k] > tol:
+        raise ValueError(f"effect {k} is not Hermitian: max |m - m^dag| = {herm[k]:.3e} > {tol:.1e}")
+    lows = np.linalg.eigvalsh(e)[:, 0]
+    k = int(np.argmin(lows))
+    if lows[k] < -tol:
+        raise ValueError(f"effect {k} not PSD: smallest eigenvalue {lows[k]:.3e}")
+    dev = float(np.max(np.abs(e.sum(axis=0) - np.eye(e.shape[1]))))
     if dev > tol:
         raise ValueError(f"effects do not sum to identity: max deviation {dev:.3e}")
 

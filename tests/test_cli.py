@@ -290,6 +290,10 @@ def _numbers(value):
     ["simulate", "--dim", "2", "--n-bases", "3", "--omega", "1e300", "--beta", "1"],
     ["simulate", "--dim", "3", "--n-bases", "4", "--omega", "1e200", "--beta", "1e-200"],
     ["lhs-opt", "--dim", "3", "--n-bases", "4", "--omega", "1e8"],
+    ["simulate", "--dim", "3", "--n-bases", "4", "--omega", "1e300", "--shots", "1000",
+     "--seed", "3"],
+    ["simulate", "--dim", "5", "--n-bases", "6", "--omega", "1e308", "--beta", "0"],
+    ["simulate", "--dim", "23", "--n-bases", "24", "--omega", "1e308", "--beta", "0"],
 ], ids=lambda argv: "-".join(argv[:1] + argv[2:7:2] + argv[8:9]))
 def test_large_omega(capsys, argv):
     # the absolute tolerances hold in units of omega, so none of these may fail

@@ -1,11 +1,14 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from steerwork import game
 from steerwork.bounds import ground_state_population, w_classical, w_quantum
 from steerwork.game import (
+    P_EPS,
     Assemblage,
     GameConfig,
     average_work,
@@ -18,6 +21,7 @@ from steerwork.game import (
     thermal_state,
     work_term,
 )
+from steerwork.lhs import assemblage_from_model, random_lhs_model
 from steerwork.mub import build_mub, conjugate_basis
 from steerwork.qmath import (
     dagger,
@@ -250,6 +254,63 @@ class TestAverageWork:
         assert report.average <= ceiling + 1e-10
 
 
+def eigen_work_table(asm, mub, omega, beta):
+    # the general per-round ledger: diagonalize each unit-gap H, scale by omega
+    table = np.zeros((asm.n, asm.outcomes))
+    for x in range(asm.n):
+        for a in range(asm.outcomes):
+            if asm.p[x, a] >= P_EPS:
+                h = hamiltonian(mub, a, x, 1.0)
+                table[x, a] = omega * work_term(asm.conditional_state(x, a), h, beta * omega)
+    return table
+
+
+def sharp_mixed_assemblage(d, n, rng):
+    # Alice's half sits in |0>, so basis 0 of her measurement never fires a >= 1
+    e0 = np.zeros(d, dtype=complex)
+    e0[0] = 1.0
+    rho = tensor_product(projector(e0), random_density_matrix(d, rng))
+    povms = [projective_povm(np.eye(d, dtype=complex))]
+    povms += [projective_povm(random_unitary(d, rng).T) for _ in range(n - 1)]
+    return measure_assemblage(rho, povms)
+
+
+class TestWorkTable:
+    @pytest.mark.parametrize("beta", [0.0, 0.37, 1.0, math.inf])
+    @pytest.mark.parametrize("omega", [1e-3, 1.0, 1e6])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_closed_form_matches_eigen_oracle(self, d, omega, beta):
+        rng = np.random.default_rng(1000 + d)
+        n = d + 1
+        mub = build_mub(d, n)
+        sharp = sharp_mixed_assemblage(d, n, rng)
+        assert np.any(sharp.p < P_EPS)
+        assemblages = [
+            assemblage_from_model(random_lhs_model(d, n, rng)),
+            measure_assemblage(random_density_matrix(d * d, rng),
+                               [projective_povm(random_unitary(d, rng).T) for _ in range(n)]),
+            sharp,
+        ]
+        for asm in assemblages:
+            got = average_work(asm, mub, omega, beta).per_round
+            assert np.max(np.abs(got - eigen_work_table(asm, mub, omega, beta))) <= 1e-12 * omega
+
+    def test_non_hermitian_assemblage_rejected(self):
+        # an anti-Hermitian shift between two outcomes keeps every trace and
+        # the reduced states, so Assemblage accepts it; the work ledger must not
+        d, n = 3, 4
+        mub = build_mub(d, n)
+        povms = [projective_povm(conjugate_basis(mub, x)) for x in range(n)]
+        asm = measure_assemblage(maximally_entangled(d), povms)
+        shift = 1e-6j * (projector(mub.vector(0, 0)) - projector(mub.vector(0, 1)))
+        sigma = asm.sigma.copy()
+        sigma[0, 0] += shift
+        sigma[0, 1] -= shift
+        bad = Assemblage(d=d, n=n, sigma=sigma, p=asm.p)
+        with pytest.raises(ValueError, match="non-Hermitian inputs"):
+            average_work(bad, mub, 1.0, 1.0)
+
+
 class TestRunExactQuantum:
     def test_qubit_value(self):
         report = run_exact_quantum(GameConfig(d=2, n=3, omega=1.0, beta=1.0))
@@ -269,6 +330,37 @@ class TestRunExactQuantum:
     def test_matches_closed_form(self, d, n, beta):
         report = run_exact_quantum(GameConfig(d=d, n=n, omega=1.0, beta=beta))
         assert abs(report.average - w_quantum(d, 1.0, beta)) < 1e-10
+
+    @pytest.mark.parametrize("mix,match", [
+        # doubly stochastic: traces stay 1/d, one conditional state is worst
+        ([[0.997, 0.003, 0.0], [0.003, 0.991, 0.006], [0.0, 0.006, 0.994]],
+         r"conditional state \(1\|2\) has fidelity"),
+        # columns sum to 1, so no signaling; p(0|2) deviates most
+        ([[1.0, 0.006, 0.0], [0.0, 0.994, 0.003], [0.0, 0.0, 0.997]], r"p\(0\|2\) = "),
+    ], ids=["fidelity", "probability"])
+    def test_broken_identity_names_worst_round(self, monkeypatch, mix, match):
+        genuine = game.measure_assemblage
+
+        def corrupted(rho_ab, povms):
+            asm = genuine(rho_ab, povms)
+            sigma = asm.sigma.copy()
+            sigma[2] = np.einsum("ab,bkl->akl", np.array(mix), sigma[2])
+            return Assemblage(d=asm.d, n=asm.n, sigma=sigma, p=np.einsum("xaii->xa", sigma).real)
+
+        monkeypatch.setattr(game, "measure_assemblage", corrupted)
+        with pytest.raises(RuntimeError, match=match):
+            run_exact_quantum(GameConfig(d=3, n=4))
+
+    def test_memory_no_full_size_temporary(self):
+        # rho_AB and the stacked effects take about 4.5 MB each at d = 23;
+        # one more temporary of that size would cross the limit
+        tracemalloc.start()
+        try:
+            run_exact_quantum(GameConfig(d=23, n=24))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak allocation {peak / 2**20:.1f} MB"
 
     def test_report_embeds_bounds(self):
         report = run_exact_quantum(GameConfig(d=2, n=3))

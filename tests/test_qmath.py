@@ -220,6 +220,17 @@ class TestCheckers:
         with pytest.raises(ValueError, match="identity"):
             check_povm([projector(np.array([1.0, 0.0]))])
 
+    def test_povm_non_hermitian(self):
+        skew = np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(ValueError, match="effect 0 is not Hermitian"):
+            check_povm([skew, np.eye(2) - skew])
+
+    def test_povm_not_psd(self):
+        # sums to the identity, but the first effect has eigenvalue -0.5
+        effects = [np.diag([1.5, -0.5]).astype(complex), np.diag([-0.5, 1.5]).astype(complex)]
+        with pytest.raises(ValueError, match="effect 0 not PSD"):
+            check_povm(effects)
+
     def test_random_pure_state_normalized(self):
         rng = np.random.default_rng(9)
         for d in (2, 3, 7):
