@@ -14,7 +14,7 @@ from .game import GameConfig, WorkReport, run_exact_quantum
 from .lhs import OptimizerResult, bloch_grid_search, lhs_sup_work, optimize_single_state
 from .mub import MubConstructionError, MubSet, build_mub
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "BoundSet",

@@ -4,8 +4,9 @@ Subcommands: bounds (closed forms), simulate (exact or Monte Carlo game),
 scan (dimension sweep at n = d+1), lhs-opt (single-state optimizer against
 the classical ceiling), verify-mub (overlap certification).
 
-Exit codes: 0 ok, 2 bad flags, 3 advantage ratio undefined (bounds are
-still printed), 4 unsupported (d, n) construction, 5 verification failure.
+Exit codes: 0 ok, 2 bad flags or not enough memory, 3 advantage ratio
+undefined (bounds are still printed), 4 unsupported (d, n) construction,
+5 verification failure.
 
 Formats: text renders 9 significant digits, json and csv carry full double
 precision. Zero temperature (beta = inf) is written as the string "inf" in
@@ -89,6 +90,17 @@ def _finite_float(*, positive: bool):
     return parse
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
 def _add_output(sub, default: str = "text"):
     sub.add_argument("--format", choices=["json", "csv", "text"], default=default)
     sub.add_argument("--out", default=None, help="write output to a file instead of stdout")
@@ -134,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_finite_float(positive=False), default=1e-12)
-    p.add_argument("--max-iter", type=int, default=500)
+    p.add_argument("--max-iter", type=_positive_int, default=500)
     p.set_defaults(func=cmd_lhs_opt)
 
     p = subs.add_parser("verify-mub", help="certify the overlap relations of a constructed family")
@@ -243,6 +255,9 @@ def main(argv=None) -> int:
     except MubConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except MemoryError as exc:
+        print(f"error: not enough memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,7 +13,9 @@ pipeline evaluates that closed form for all (a, x) at once, in units of
 omega. hamiltonian, thermal_state and work_term evaluate one round by
 diagonalization and remain as the general reference. Exact mode sums over
 (a, x); Monte Carlo mode samples rounds operationally with a seeded
-counter-based generator so that reports are bit-reproducible.
+counter-based generator, a fixed-size chunk of shots at a time, into a
+histogram of the (x, a) rounds. Its memory therefore does not depend on the
+shot count, and equal seeds give bit-identical reports within a version.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ from .qmath import (
 P_EPS = 1e-14
 
 ATOL_ASSEMBLAGE = 1e-10
+
+# Monte Carlo shots drawn per chunk; memory is O(CHUNK) whatever the shot count.
+CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -313,29 +318,49 @@ def run_exact_quantum(config: GameConfig) -> WorkReport:
     return report
 
 
+def _sample_rounds(p: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Histogram counts[x, a] of shots rounds: x uniform, then a drawn from p[x].
+
+    Shots are drawn CHUNK at a time from a Philox generator keyed by seed.
+    The outcome of a shot is the number of cumulative thresholds
+    cdf[x, :m-1] that its uniform u reaches; the CDF never decreases, so
+    that count is already at most m - 1.
+    """
+    n, m = p.shape
+    thresholds = np.cumsum(np.clip(p, 0.0, None), axis=1)[:, :-1]
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    counts = np.zeros(n * m, dtype=np.int64)
+    for start in range(0, shots, CHUNK):
+        k = min(CHUNK, shots - start)
+        x = rng.integers(0, n, k)
+        u = rng.random(k)
+        a = np.zeros(k, dtype=np.int64)
+        for column in thresholds.T:
+            a += column[x] <= u
+        counts += np.bincount(x * m + a, minlength=n * m)
+    return counts.reshape(n, m)
+
+
 def run_monte_carlo(config: GameConfig) -> WorkReport:
     """Operational sampling of the quantum protocol.
 
     Each shot draws x uniformly, then a from p(a|x), and banks the exact
     per-round work of that (a, x). The generator is counter-based (Philox)
-    keyed by the seed, and the mean is a deterministic pairwise reduction,
-    so equal seeds give bit-identical reports. stderr is the sample
-    standard deviation over sqrt(shots) (0.0 for a single shot).
+    keyed by the seed, and the mean and variance are deterministic sums
+    over the histogram of rounds, so equal seeds give bit-identical
+    reports. stderr is the sample standard deviation over sqrt(shots)
+    (0.0 for a single shot).
     """
     if config.shots < 1:
         raise ValueError(f"Monte Carlo needs shots >= 1, got {config.shots}")
     asm, mub = _quantum_protocol(config)
     table = _work_table(asm, mub, config.omega, config.beta)
 
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
-    xs = rng.integers(0, config.n, size=config.shots)
-    us = rng.random(config.shots)
-    cdf = np.cumsum(np.clip(asm.p, 0.0, None), axis=1)
-    a_idx = np.minimum((cdf[xs] <= us[:, None]).sum(axis=1), asm.outcomes - 1)
-    works = table[xs, a_idx]
-
-    spread = float(np.std(works, ddof=1) / math.sqrt(config.shots)) if config.shots > 1 else 0.0
+    shots = config.shots
+    counts = _sample_rounds(asm.p, shots, config.seed)
+    mean = float(np.sum(counts * table) / shots)
+    var = float(np.sum(counts * (table - mean) ** 2) / (shots - 1)) if shots > 1 else 0.0
     omega = config.omega
     return _report(config.d, config.n, omega, config.beta, mode="monte_carlo",
-                   shots=config.shots, seed=config.seed, average=omega * float(np.mean(works)),
-                   stderr=omega * spread, per_round=omega * table)
+                   shots=shots, seed=config.seed, average=omega * mean,
+                   stderr=omega * math.sqrt(var / shots), per_round=omega * table)

@@ -121,6 +121,8 @@ def optimize_single_state(mub: MubSet, restarts: int = 32, tol: float = 1e-12,
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
+    if max_iter < 1:
+        raise ValueError(f"need at least one iteration, got max_iter={max_iter}")
     d, n = mub.d, mub.n
     best_obj = -math.inf
     best_state = None

@@ -193,10 +193,12 @@ class TestLhsOpt:
         assert code == 4
 
     @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "inf"),
-                                             ("--tol", "-1"), ("--omega", "inf")])
+                                             ("--tol", "-1"), ("--omega", "inf"),
+                                             ("--max-iter", "-1"), ("--max-iter", "0")])
     def test_invalid_flags(self, capsys, flag, value):
-        code, _, _ = run_cli(capsys, "lhs-opt", "--dim", "2", "--n-bases", "3", flag, value)
+        code, _, err = run_cli(capsys, "lhs-opt", "--dim", "2", "--n-bases", "3", flag, value)
         assert code == 2
+        assert f"argument {flag}: " in err  # rejected by the parser, before any work
 
 
 class TestVerifyMub:
@@ -316,6 +318,42 @@ def test_out_to_missing_directory(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not target.exists()
+
+
+@pytest.mark.parametrize("raised, detail", [
+    (MemoryError("Unable to allocate 23.8 GiB"), "Unable to allocate 23.8 GiB"),
+    (MemoryError(), "allocation failed"),
+])
+def test_memory_error_is_a_one_line_exit(capsys, monkeypatch, raised, detail):
+    def exhausted(config):
+        raise raised
+
+    monkeypatch.setattr("steerwork.cli.run_exact_quantum", exhausted)
+    code, out, err = run_cli(capsys, "simulate", "--dim", "3", "--n-bases", "4")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: not enough memory: {detail}\n"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_out_of_memory_under_address_space_limit():
+    # rho_AB at d = 200 needs 23.8 GiB; a 2 GB address-space cap makes that
+    # allocation fail in the child without touching the host's memory
+    import resource
+
+    def cap_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        limit = 2 * 10**9 if hard == resource.RLIM_INFINITY else min(2 * 10**9, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "steerwork", "simulate", "--dim", "200", "--n-bases", "2"],
+        capture_output=True, text=True, preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: not enough memory: ")
+    assert proc.stderr.count("\n") == 1
 
 
 class TestEntryPoint:

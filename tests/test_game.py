@@ -404,6 +404,69 @@ class TestRunMonteCarlo:
         assert report.seed == 3
         assert report.per_round.shape == (2, 3)
 
+    def test_moments_match_per_shot_formula(self, monkeypatch):
+        # a table that varies across rounds, so mean and stderr are not
+        # rounding noise; the reference expands the histogram shot by shot
+        table = np.linspace(-0.4, 0.9, 20).reshape(4, 5)
+        monkeypatch.setattr(game, "_work_table", lambda asm, mub, omega, beta: table)
+        config = GameConfig(d=5, n=4, omega=3.0, shots=5000, seed=2)
+        report = run_monte_carlo(config)
+        counts = game._sample_rounds(game._quantum_protocol(config)[0].p, 5000, 2)
+        works = np.repeat(table.ravel(), counts.ravel())
+        assert report.average == pytest.approx(3.0 * works.mean(), rel=1e-13)
+        assert report.stderr == pytest.approx(3.0 * works.std(ddof=1) / math.sqrt(5000),
+                                              rel=1e-12)
+
+    def test_memory_independent_of_shots(self):
+        # one draw per shot would hold at least 8 MB per array at 10^6 shots
+        tracemalloc.start()
+        try:
+            run_monte_carlo(GameConfig(d=5, n=6, shots=10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"peak allocation {peak / 2**20:.1f} MB"
+
+
+class TestSampleRounds:
+    # one zero-probability outcome per setting: first, middle and last
+    P = np.array([[0.0, 0.25, 0.75], [0.5, 0.0, 0.5], [0.2, 0.8, 0.0]])
+
+    @pytest.mark.parametrize("shots", [1, game.CHUNK - 1, game.CHUNK, game.CHUNK + 1])
+    def test_counts_cover_every_shot(self, shots):
+        counts = game._sample_rounds(self.P, shots, seed=4)
+        assert counts.shape == (3, 3) and counts.dtype == np.int64
+        assert counts.sum() == shots
+        assert np.all(counts[self.P == 0.0] == 0)
+
+    def test_chi_square_against_round_law(self):
+        shots = 10 * game.CHUNK + 1
+        counts = game._sample_rounds(self.P, shots, seed=11)
+        positive = self.P > 0
+        expected = shots * self.P[positive] / 3
+        chi2 = float(np.sum((counts[positive] - expected) ** 2 / expected))
+        # 5 degrees of freedom: the 99.9% quantile is 20.5
+        assert chi2 < 20.5, chi2
+
+    def test_matches_clamped_count_reference(self):
+        # the earlier per-shot rule on the same draws: count every CDF column
+        # that u reaches, then clamp to the last outcome
+        shots, seed = 2 * game.CHUNK + 7, 5
+        n, m = self.P.shape
+        cdf = np.cumsum(self.P, axis=1)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        expected = np.zeros((n, m), dtype=np.int64)
+        for start in range(0, shots, game.CHUNK):
+            k = min(game.CHUNK, shots - start)
+            x, u = rng.integers(0, n, k), rng.random(k)
+            np.add.at(expected, (x, np.minimum((cdf[x] <= u[:, None]).sum(axis=1), m - 1)), 1)
+        assert np.array_equal(game._sample_rounds(self.P, shots, seed), expected)
+
+    def test_seed_determines_counts(self):
+        a = game._sample_rounds(self.P, 1000, seed=6)
+        assert np.array_equal(a, game._sample_rounds(self.P, 1000, seed=6))
+        assert not np.array_equal(a, game._sample_rounds(self.P, 1000, seed=7))
+
 
 class TestGameConfig:
     @pytest.mark.parametrize("kwargs", [

@@ -160,6 +160,14 @@ class TestOptimizeSingleState:
         result = optimize_single_state(mub, restarts=8, seed=7)
         assert abs(result.objective - mub_overlap_objective(mub, result.best_state)) < 1e-14
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(restarts=0), "restart"), (dict(max_iter=0), "max_iter"),
+        (dict(max_iter=-1), "max_iter"),
+    ])
+    def test_invalid_budget_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            optimize_single_state(build_mub(2, 3), **kwargs)
+
 
 class TestBlochGridSearch:
     def test_three_bases_optimum(self):
