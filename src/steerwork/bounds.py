@@ -13,18 +13,6 @@ import math
 from dataclasses import dataclass
 
 
-class XiUndefinedError(ValueError):
-    """The advantage ratio is undefined because the unsteerable bound is <= 0."""
-
-    def __init__(self, w_classical: float):
-        self.w_classical = w_classical
-        sign = "zero" if w_classical == 0.0 else "negative"
-        super().__init__(
-            f"advantage ratio undefined: unsteerable work bound is {sign} "
-            f"(w_classical = {w_classical:.6g})"
-        )
-
-
 def ground_state_population(d: int, omega: float, beta: float) -> float:
     """Thermal weight on the ground level of a gap-omega, d-level spectrum.
 
@@ -66,18 +54,6 @@ def w_quantum(d: int, omega: float, beta: float) -> float:
     """
     _check_args(d, 1, omega, beta)
     return omega * (1.0 - ground_state_population(d, omega, beta))
-
-
-def xi(d: int, n: int, omega: float, beta: float) -> float:
-    """Advantage ratio w_quantum / w_classical.
-
-    Raises XiUndefinedError when the denominator is <= 0 (large beta);
-    equals sqrt(n) exactly at beta = 0.
-    """
-    bs = evaluate_bounds(d, n, omega, beta)
-    if bs.xi is None:
-        raise XiUndefinedError(bs.w_classical)
-    return bs.xi
 
 
 def advantage_condition(d: int, n: int) -> bool:

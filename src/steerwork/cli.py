@@ -23,13 +23,17 @@ import sys
 from .bounds import evaluate_bounds, json_float
 from .game import GameConfig, run_exact_quantum, run_monte_carlo
 from .lhs import bloch_grid_search, lhs_sup_work
-from .mub import MubConstructionError, SUPPORTED_FAMILIES, build_mub, supported_family, verify_mub
+from .mub import MubConstructionError, build_mub, check_supported, verify_mub
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_XI_DOMAIN = 3
 EXIT_UNSUPPORTED = 4
 EXIT_VERIFY_FAIL = 5
+
+# Monte Carlo time is linear in --shots and nothing is printed until the end;
+# 10^9 shots already take tens of seconds, so a larger count is refused.
+MAX_SHOTS = 10**9
 
 
 def _fmt(value) -> str:
@@ -90,15 +94,18 @@ def _finite_float(*, positive: bool):
     return parse
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
-    return value
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer >= low, and <= high when high is given."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"between {low} and {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+        return value
+    return parse
 
 
 def _add_output(sub, default: str = "text"):
@@ -129,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="run the game exactly (shots=0) or by sampling")
     _add_common(p)
-    p.add_argument("--shots", type=int, default=0, help="0 = exact mode (default)")
+    p.add_argument("--shots", type=_int_in(0, MAX_SHOTS), default=0,
+                   help=f"0 = exact mode (default); at most {MAX_SHOTS}")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.set_defaults(func=cmd_simulate)
 
@@ -146,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_finite_float(positive=False), default=1e-12)
-    p.add_argument("--max-iter", type=_positive_int, default=500)
+    p.add_argument("--max-iter", type=_int_in(1), default=500)
     p.set_defaults(func=cmd_lhs_opt)
 
     p = subs.add_parser("verify-mub", help="certify the overlap relations of a constructed family")
@@ -185,10 +193,7 @@ def cmd_scan(args) -> int:
     except ValueError as exc:
         raise ValueError(f"bad --dims list {args.dims!r}: {exc}") from exc
     for d in dims:
-        if not supported_family(d, d + 1):
-            raise MubConstructionError(
-                f"(d={d}, n={d + 1}) not available; supported families: {SUPPORTED_FAMILIES}"
-            )
+        check_supported(d, d + 1)
 
     rows = []
     for d in dims:

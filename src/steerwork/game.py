@@ -10,12 +10,15 @@ figure of merit is the average over uniform x and the outcome statistics.
 H has rank 1, so the work of a round is omega (F - P), with F the fidelity
 of Bob's state with |phi_x^a> and P the ground-level Gibbs population; the
 pipeline evaluates that closed form for all (a, x) at once, in units of
-omega. hamiltonian, thermal_state and work_term evaluate one round by
-diagonalization and remain as the general reference. Exact mode sums over
-(a, x); Monte Carlo mode samples rounds operationally with a seeded
-counter-based generator, a fixed-size chunk of shots at a time, into a
-histogram of the (x, a) rounds. Its memory therefore does not depend on the
-shot count, and equal seeds give bit-identical reports within a version.
+omega, and never builds a Hamiltonian or a Gibbs state. The general
+per-round ledger by diagonalization lives in tests/oracles.py, where the
+tests compare the closed form against it.
+
+Exact mode sums over (a, x); Monte Carlo mode samples rounds operationally
+with a seeded counter-based generator, a fixed-size chunk of shots at a
+time, into a histogram of the (x, a) rounds. Its memory therefore does not
+depend on the shot count, and equal seeds give bit-identical reports
+within a version.
 """
 
 from __future__ import annotations
@@ -27,13 +30,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .mub import MubSet, build_mub
-from .qmath import (
-    check_hermitian,
-    check_povm,
-    dagger,
-    hermitian_eigensystem,
-    projector,
-)
+from .qmath import check_povm, projector
 
 # Outcomes with p(a|x) below this contribute zero work: their normalized
 # post-measurement state is undefined and the unnormalized summand vanishes.
@@ -106,13 +103,6 @@ class Assemblage:
     @property
     def outcomes(self) -> int:
         return self.sigma.shape[1]
-
-    def conditional_state(self, x: int, a: int) -> np.ndarray:
-        """Normalized post-measurement state sigma[x, a] / p[x, a]."""
-        prob = self.p[x, a]
-        if prob < P_EPS:
-            raise ValueError(f"outcome (a={a}, x={x}) has probability {prob:.3e}")
-        return self.sigma[x, a] / prob
 
 
 @dataclass
@@ -190,49 +180,6 @@ def measure_assemblage(rho_ab: np.ndarray, povms: np.ndarray) -> Assemblage:
     sigma = np.einsum("xaij,jkil->xakl", effects, rho_ab.reshape(da, db, da, db))
     p = np.einsum("xaii->xa", sigma).real
     return Assemblage(d=db, n=n, sigma=sigma, p=p)
-
-
-def hamiltonian(mub: MubSet, a: int, x: int, omega: float) -> np.ndarray:
-    """Quench Hamiltonian -omega |phi_x^a><phi_x^a|; spectrum {-omega, 0^(d-1)}."""
-    if not 0 <= x < mub.n:
-        raise IndexError(f"basis index {x} out of range [0, {mub.n})")
-    if not 0 <= a < mub.d:
-        raise IndexError(f"outcome index {a} out of range [0, {mub.d})")
-    if not omega > 0:
-        raise ValueError(f"energy gap must be positive, got omega={omega}")
-    return -omega * projector(mub.vector(x, a))
-
-
-def thermal_state(h: np.ndarray, beta: float) -> np.ndarray:
-    """Gibbs state e^{-beta H} / Tr(e^{-beta H}).
-
-    Computed in the eigenbasis with the exponent shifted to the ground
-    level, so large beta*||H|| never overflows. beta = inf returns the
-    uniform mixture over the ground eigenspace.
-    """
-    if not (beta >= 0):
-        raise ValueError(f"inverse temperature must be >= 0, got beta={beta}")
-    w, v = hermitian_eigensystem(h)
-    if math.isinf(beta):
-        weights = (w <= w[0] + 1e-12).astype(float)
-    else:
-        weights = np.exp(-beta * (w - w[0]))
-    weights /= weights.sum()
-    return (v * weights) @ dagger(v)
-
-
-def work_term(rho_hat: np.ndarray, h: np.ndarray, beta: float) -> float:
-    """Net extractable work -Tr(H rho) + Tr(H gamma) of a single round."""
-    if rho_hat.shape != h.shape:
-        raise ValueError(f"dimension mismatch: state {rho_hat.shape}, H {h.shape}")
-    check_hermitian(h)
-    gamma = thermal_state(h, beta)
-    t_state = complex(np.trace(h @ rho_hat))
-    t_thermal = complex(np.trace(h @ gamma))
-    residue = max(abs(t_state.imag), abs(t_thermal.imag))
-    if residue > 1e-10:
-        raise ValueError(f"non-Hermitian inputs: imaginary trace residue {residue:.3e}")
-    return -t_state.real + t_thermal.real
 
 
 def _fidelities(asm: Assemblage, mub: MubSet) -> np.ndarray:

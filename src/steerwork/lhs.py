@@ -1,17 +1,21 @@
-"""Local-hidden-state models and numerical certification of the classical ceiling.
+"""Numerical certification of the unsteerable (classical) ceiling.
 
-An LHS model explains Bob's conditional states as a classical mixture: a
-hidden state rho_lambda drawn with weight p(lambda), postprocessed by a
-response table p(a|x, lambda). The work such a model can extract is capped
-by the closed-form w_classical; this module realizes models, evaluates
-their work, and attacks the cap from below.
+A local-hidden-state (LHS) model explains Bob's conditional states as a
+classical mixture: a hidden state rho_lambda drawn with weight p(lambda),
+postprocessed by a response table p(a|x, lambda). The work such a model can
+extract is capped by the closed-form w_classical; this module attacks that
+cap from below.
 
 Because the work functional is linear in the model, the supremum over LHS
-models is attained on extreme points: a single pure hidden state with a
-deterministic response. Finding the best pure state is the nonconvex
-problem max_psi (1/n) sum_x max_a |<phi_x^a|psi>|^2, handled by alternating
-maximization with random restarts, plus an exhaustive Bloch-sphere grid as
-an independent oracle at d = 2.
+models is attained on extreme points: a single pure hidden state psi with
+the deterministic response a(x) = argmax_a |<phi_x^a|psi>|^2. That model
+extracts omega * objective(psi) - omega * P exactly, with P the ground-level
+Gibbs population, so no assemblage is built here. Finding the best pure
+state is the nonconvex problem max_psi (1/n) sum_x max_a |<phi_x^a|psi>|^2,
+handled by alternating maximization with random restarts, plus an
+exhaustive Bloch-sphere grid as an independent oracle at d = 2. General
+hidden-state models and the full game pipeline on them live in
+tests/oracles.py, where the tests check this closed form against them.
 """
 
 from __future__ import annotations
@@ -22,45 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bounds_mod
-from .game import Assemblage, average_work
 from .mub import MubSet, build_mub
-from .qmath import (
-    check_density_matrix,
-    principal_eigenvector,
-    projector,
-    random_pure_state,
-)
-
-
-@dataclass
-class LhsModel:
-    """Finite mixture {p(lambda), rho_lambda} with response table p(a|x, lambda).
-
-    states has shape (L, d, d), weights (L,), response (L, n, outcomes)
-    with each response row a probability vector over outcomes.
-    """
-
-    d: int
-    n: int
-    states: np.ndarray
-    weights: np.ndarray
-    response: np.ndarray
-
-    def __post_init__(self):
-        L = self.states.shape[0]
-        if self.states.shape != (L, self.d, self.d):
-            raise ValueError(f"states shape {self.states.shape} does not match d={self.d}")
-        if self.weights.shape != (L,):
-            raise ValueError(f"weights shape {self.weights.shape}, expected ({L},)")
-        if self.response.shape[:2] != (L, self.n):
-            raise ValueError(f"response shape {self.response.shape} does not match (L, n)")
-        if np.min(self.weights) < -1e-12 or abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights are not a probability vector")
-        row_sums = self.response.sum(axis=2)
-        if np.min(self.response) < -1e-12 or np.max(np.abs(row_sums - 1.0)) > 1e-12:
-            raise ValueError("response rows are not probability vectors")
-        for k in range(L):
-            check_density_matrix(self.states[k], tol_construct=1e-10)
+from .qmath import principal_eigenvector, random_pure_state
 
 
 @dataclass
@@ -88,18 +55,6 @@ class OptimizerResult:
             "iterations": self.iterations,
             "converged": self.converged,
         }
-
-
-def assemblage_from_model(model: LhsModel) -> Assemblage:
-    """Unsteerable assemblage sigma_{a|x} = sum_l p(l) p(a|x,l) rho_l."""
-    sigma = np.einsum("l,lxa,lij->xaij", model.weights, model.response, model.states)
-    p = np.einsum("xaii->xa", sigma).real
-    return Assemblage(d=model.d, n=model.n, sigma=sigma, p=p)
-
-
-def lhs_work(model: LhsModel, mub: MubSet, omega: float, beta: float) -> float:
-    """Average work the model extracts against the MUB quench Hamiltonians."""
-    return average_work(assemblage_from_model(model), mub, omega, beta).average
 
 
 def mub_overlap_objective(mub: MubSet, psi: np.ndarray) -> float:
@@ -204,57 +159,22 @@ def bloch_grid_search(mub: MubSet, resolution: int = 500) -> OptimizerResult:
                            iterations=levels, converged=True)
 
 
-def deterministic_single_state_model(mub: MubSet, psi: np.ndarray) -> LhsModel:
-    """Extreme-point model: one hidden state, responses pinned to the argmax."""
-    picks = np.argmax(np.abs(mub.bases.conj() @ psi) ** 2, axis=1)
-    response = np.zeros((1, mub.n, mub.d))
-    response[0, np.arange(mub.n), picks] = 1.0
-    return LhsModel(d=mub.d, n=mub.n, states=projector(psi)[np.newaxis],
-                    weights=np.array([1.0]), response=response)
-
-
 def lhs_sup_work(d: int, n: int, omega: float, beta: float, restarts: int = 32,
                  tol: float = 1e-12, max_iter: int = 500, seed: int = 0,
                  mub: MubSet | None = None) -> tuple[float, float, OptimizerResult]:
     """Best LHS work found numerically, next to the closed-form ceiling.
 
     Returns (achievable, bound, result) with result the optimizer's output.
-    The achievable side is realized by running the full game pipeline on
-    the deterministic single-state model built from the optimizer's best
-    state, which equals omega * objective - omega * ground_population
-    analytically.
+    The achievable side is the work of the deterministic single-state model
+    on the optimizer's best state, omega * objective - omega * P with P the
+    ground-level Gibbs population; bound is w_classical, the same expression
+    with the Rastegin overlap bound in place of the objective.
     """
     if mub is None:
         mub = build_mub(d, n)
     result = optimize_single_state(mub, restarts=restarts, tol=tol,
                                    max_iter=max_iter, seed=seed)
-    model = deterministic_single_state_model(mub, result.best_state)
-    achievable = lhs_work(model, mub, omega, beta)
+    achievable = (omega * result.objective
+                  - omega * bounds_mod.ground_state_population(d, omega, beta))
     bound = bounds_mod.w_classical(d, n, omega, beta)
     return achievable, bound, result
-
-
-def random_lhs_model(d: int, n: int, rng: np.random.Generator,
-                     max_states: int = 4, outcomes: int | None = None) -> LhsModel:
-    """Random model for property testing: mixed/pure states, noisy or sharp responses."""
-    m = d if outcomes is None else outcomes
-    L = int(rng.integers(1, max_states + 1))
-    states = np.empty((L, d, d), dtype=complex)
-    for k in range(L):
-        if rng.random() < 0.5:
-            states[k] = projector(random_pure_state(d, rng))
-        else:
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            rho = g @ g.conj().T
-            states[k] = rho / np.trace(rho).real
-    weights = rng.dirichlet(np.ones(L))
-    response = np.empty((L, n, m))
-    for k in range(L):
-        for x in range(n):
-            if rng.random() < 0.5:
-                row = np.zeros(m)
-                row[int(rng.integers(m))] = 1.0
-            else:
-                row = rng.dirichlet(np.ones(m))
-            response[k, x] = row
-    return LhsModel(d=d, n=n, states=states, weights=weights, response=response)

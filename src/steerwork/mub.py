@@ -70,33 +70,6 @@ class MubSet:
     n: int
     bases: np.ndarray
 
-    def basis(self, x: int) -> np.ndarray:
-        """The d x d array of basis x, one vector per row."""
-        return self.bases[x]
-
-    def vector(self, x: int, a: int) -> np.ndarray:
-        """The a-th vector of basis x."""
-        return self.bases[x, a]
-
-    def to_json_dict(self) -> dict:
-        """JSON-friendly form: amplitudes as [re, im] pairs."""
-        return {
-            "d": self.d,
-            "n": self.n,
-            "bases": [
-                [[[float(c.real), float(c.imag)] for c in vec] for vec in basis]
-                for basis in self.bases
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MubSet":
-        bases = np.array(
-            [[[complex(re, im) for re, im in vec] for vec in basis] for basis in data["bases"]],
-            dtype=complex,
-        )
-        return cls(d=int(data["d"]), n=int(data["n"]), bases=bases)
-
 
 @dataclass(frozen=True)
 class MubVerification:
@@ -139,37 +112,26 @@ def _quadratic_basis(d: int, x: int) -> np.ndarray:
     return quad[np.newaxis, :] * lin / np.sqrt(d)
 
 
+def check_supported(d: int, n: int) -> None:
+    """Raise MubConstructionError unless build_mub can construct (d, n)."""
+    if not supported_family(d, n):
+        raise MubConstructionError(
+            f"(d={d}, n={n}) not available; supported families: {SUPPORTED_FAMILIES}"
+        )
+
+
 def build_mub(d: int, n: int) -> MubSet:
     """Construct n mutually unbiased bases in dimension d.
 
     Raises MubConstructionError when (d, n) falls outside the supported
     families listed in the module docstring.
     """
-    if d < 2:
-        raise MubConstructionError(f"dimension must be >= 2, got d={d}")
-    if n < 2:
-        raise MubConstructionError(f"need at least two bases, got n={n}")
+    check_supported(d, n)
     if d == 2:
-        if n > 3:
-            raise MubConstructionError(
-                f"(d=2, n={n}) not available: at most 3 MUBs exist for qubits; "
-                f"supported families: {SUPPORTED_FAMILIES}"
-            )
         bases = _pauli_bases()[:n]
     elif is_prime(d):
-        if n > d + 1:
-            raise MubConstructionError(
-                f"(d={d}, n={n}) not available: at most d+1 = {d + 1} MUBs exist; "
-                f"supported families: {SUPPORTED_FAMILIES}"
-            )
         bases = np.stack([np.eye(d, dtype=complex)] + [_quadratic_basis(d, x) for x in range(1, n)])
     else:
-        if n > 2:
-            raise MubConstructionError(
-                f"(d={d}, n={n}) not available: d is not prime and only the "
-                f"computational + Fourier pair is constructed for such d; "
-                f"supported families: {SUPPORTED_FAMILIES}"
-            )
         bases = np.stack([np.eye(d, dtype=complex), _fourier_basis(d)])
     return MubSet(d=d, n=n, bases=bases)
 
@@ -204,14 +166,3 @@ def verify_mub(mub: MubSet, tol: float = 1e-10) -> MubVerification:
                 break
     return MubVerification(passed=max_dev <= tol, max_deviation=max_dev,
                            worst_pair=worst, tol=tol)
-
-
-def conjugate_basis(mub: MubSet, x: int) -> np.ndarray:
-    """Component-wise complex conjugate of basis x, one vector per row.
-
-    Conjugation in the computational basis preserves orthonormality, so the
-    returned family is again an orthonormal basis.
-    """
-    if not 0 <= x < mub.n:
-        raise IndexError(f"basis index {x} out of range [0, {mub.n})")
-    return mub.bases[x].conj()

@@ -1,0 +1,238 @@
+"""Reference implementations that the tests compare the package against.
+
+Nothing here runs on the production path. Each function evaluates a quantity
+the general way, with Kronecker products, partial traces, diagonalization or
+explicit hidden-state models, so that the closed forms and contractions in
+steerwork can be checked against it.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from steerwork.game import P_EPS, Assemblage, average_work
+from steerwork.mub import MubSet
+from steerwork.qmath import ATOL_PSD, check_hermitian, dagger, projector, random_pure_state
+
+ATOL_CONSTRUCT = 1e-12
+
+
+# -- dense linear algebra ---------------------------------------------------
+
+def overlap2(u: np.ndarray, v: np.ndarray) -> float:
+    """Squared overlap |<u|v>|^2 of two state vectors."""
+    return float(np.abs(np.vdot(u, v)) ** 2)
+
+
+def expectation(rho: np.ndarray, psi: np.ndarray) -> float:
+    """<psi| rho |psi> for Hermitian rho (imaginary part discarded)."""
+    return float(np.vdot(psi, rho @ psi).real)
+
+
+def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product with row-major block convention.
+
+    Entry ((i*rb + k), (j*cb + l)) equals a[i, j] * b[k, l].
+    """
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def partial_trace_A(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """Trace out the first factor of a (dim_a*dim_b)-dimensional operator.
+
+    Composite indices follow the tensor_product convention: row = i*dim_b + k
+    with i on A and k on B. The result is dim_b x dim_b and has the same
+    trace as the input.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {rho.shape}")
+    if rho.shape[0] != dim_a * dim_b:
+        raise ValueError(
+            f"dimension mismatch: operator is {rho.shape[0]}-dimensional, "
+            f"expected dim_a*dim_b = {dim_a * dim_b}"
+        )
+    r4 = rho.reshape(dim_a, dim_b, dim_a, dim_b)
+    return np.einsum("ikil->kl", r4)
+
+
+def hermitian_eigensystem(m: np.ndarray, tol: float = ATOL_PSD) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix.
+
+    Returns (w, v) with eigenvalues w ascending and orthonormal eigenvectors
+    in the columns of v, so that m = v @ diag(w) @ v^dag.
+    """
+    check_hermitian(m, tol)
+    return np.linalg.eigh(np.asarray(m, dtype=complex))
+
+
+def min_eigenvalue(m: np.ndarray, tol: float = ATOL_PSD) -> float:
+    """Smallest eigenvalue of a Hermitian matrix."""
+    w, _ = hermitian_eigensystem(m, tol)
+    return float(w[0])
+
+
+def check_density_matrix(rho: np.ndarray, tol_construct: float = ATOL_CONSTRUCT,
+                         tol_psd: float = ATOL_PSD) -> None:
+    """Raise ValueError unless rho is Hermitian, unit-trace and PSD.
+
+    Hermiticity and trace are held to tol_construct; the smallest eigenvalue
+    may dip to -tol_psd (rounding slack).
+    """
+    check_hermitian(rho, tol_construct)
+    tr = complex(np.trace(rho))
+    if abs(tr - 1.0) > tol_construct:
+        raise ValueError(f"trace is {tr}, expected 1 within {tol_construct:.1e}")
+    lo = float(np.linalg.eigvalsh(rho)[0])
+    if lo < -tol_psd:
+        raise ValueError(f"smallest eigenvalue {lo:.3e} below -{tol_psd:.1e}")
+
+
+def random_density_matrix(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+    """Random mixed state G G^dag / Tr(G G^dag) with G a d x rank Ginibre matrix."""
+    k = d if rank is None else rank
+    g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+    rho = g @ dagger(g)
+    return rho / np.trace(rho).real
+
+
+def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unitary via QR of a Ginibre matrix with phase fixing."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r) / np.abs(np.diagonal(r))
+    return q * phases
+
+
+# -- one round of the game, by diagonalization ------------------------------
+
+def conditional_state(asm: Assemblage, x: int, a: int) -> np.ndarray:
+    """Normalized post-measurement state sigma[x, a] / p[x, a]."""
+    prob = asm.p[x, a]
+    if prob < P_EPS:
+        raise ValueError(f"outcome (a={a}, x={x}) has probability {prob:.3e}")
+    return asm.sigma[x, a] / prob
+
+
+def hamiltonian(mub: MubSet, a: int, x: int, omega: float) -> np.ndarray:
+    """Quench Hamiltonian -omega |phi_x^a><phi_x^a|; spectrum {-omega, 0^(d-1)}."""
+    if not 0 <= x < mub.n:
+        raise IndexError(f"basis index {x} out of range [0, {mub.n})")
+    if not 0 <= a < mub.d:
+        raise IndexError(f"outcome index {a} out of range [0, {mub.d})")
+    if not omega > 0:
+        raise ValueError(f"energy gap must be positive, got omega={omega}")
+    return -omega * projector(mub.bases[x, a])
+
+
+def thermal_state(h: np.ndarray, beta: float) -> np.ndarray:
+    """Gibbs state e^{-beta H} / Tr(e^{-beta H}).
+
+    Computed in the eigenbasis with the exponent shifted to the ground
+    level, so large beta*||H|| never overflows. beta = inf returns the
+    uniform mixture over the ground eigenspace.
+    """
+    if not (beta >= 0):
+        raise ValueError(f"inverse temperature must be >= 0, got beta={beta}")
+    w, v = hermitian_eigensystem(h)
+    if math.isinf(beta):
+        weights = (w <= w[0] + 1e-12).astype(float)
+    else:
+        weights = np.exp(-beta * (w - w[0]))
+    weights /= weights.sum()
+    return (v * weights) @ dagger(v)
+
+
+def work_term(rho_hat: np.ndarray, h: np.ndarray, beta: float) -> float:
+    """Net extractable work -Tr(H rho) + Tr(H gamma) of a single round."""
+    if rho_hat.shape != h.shape:
+        raise ValueError(f"dimension mismatch: state {rho_hat.shape}, H {h.shape}")
+    check_hermitian(h)
+    gamma = thermal_state(h, beta)
+    t_state = complex(np.trace(h @ rho_hat))
+    t_thermal = complex(np.trace(h @ gamma))
+    residue = max(abs(t_state.imag), abs(t_thermal.imag))
+    if residue > 1e-10:
+        raise ValueError(f"non-Hermitian inputs: imaginary trace residue {residue:.3e}")
+    return -t_state.real + t_thermal.real
+
+
+# -- local-hidden-state models ----------------------------------------------
+
+@dataclass
+class LhsModel:
+    """Finite mixture {p(lambda), rho_lambda} with response table p(a|x, lambda).
+
+    states has shape (L, d, d), weights (L,), response (L, n, outcomes)
+    with each response row a probability vector over outcomes.
+    """
+
+    d: int
+    n: int
+    states: np.ndarray
+    weights: np.ndarray
+    response: np.ndarray
+
+    def __post_init__(self):
+        L = self.states.shape[0]
+        if self.states.shape != (L, self.d, self.d):
+            raise ValueError(f"states shape {self.states.shape} does not match d={self.d}")
+        if self.weights.shape != (L,):
+            raise ValueError(f"weights shape {self.weights.shape}, expected ({L},)")
+        if self.response.shape[:2] != (L, self.n):
+            raise ValueError(f"response shape {self.response.shape} does not match (L, n)")
+        if np.min(self.weights) < -1e-12 or abs(self.weights.sum() - 1.0) > 1e-12:
+            raise ValueError("weights are not a probability vector")
+        row_sums = self.response.sum(axis=2)
+        if np.min(self.response) < -1e-12 or np.max(np.abs(row_sums - 1.0)) > 1e-12:
+            raise ValueError("response rows are not probability vectors")
+        for k in range(L):
+            check_density_matrix(self.states[k], tol_construct=1e-10)
+
+
+def assemblage_from_model(model: LhsModel) -> Assemblage:
+    """Unsteerable assemblage sigma_{a|x} = sum_l p(l) p(a|x,l) rho_l."""
+    sigma = np.einsum("l,lxa,lij->xaij", model.weights, model.response, model.states)
+    p = np.einsum("xaii->xa", sigma).real
+    return Assemblage(d=model.d, n=model.n, sigma=sigma, p=p)
+
+
+def lhs_work(model: LhsModel, mub: MubSet, omega: float, beta: float) -> float:
+    """Average work the model extracts against the MUB quench Hamiltonians."""
+    return average_work(assemblage_from_model(model), mub, omega, beta).average
+
+
+def deterministic_single_state_model(mub: MubSet, psi: np.ndarray) -> LhsModel:
+    """Extreme-point model: one hidden state, responses pinned to the argmax."""
+    picks = np.argmax(np.abs(mub.bases.conj() @ psi) ** 2, axis=1)
+    response = np.zeros((1, mub.n, mub.d))
+    response[0, np.arange(mub.n), picks] = 1.0
+    return LhsModel(d=mub.d, n=mub.n, states=projector(psi)[np.newaxis],
+                    weights=np.array([1.0]), response=response)
+
+
+def random_lhs_model(d: int, n: int, rng: np.random.Generator,
+                     max_states: int = 4, outcomes: int | None = None) -> LhsModel:
+    """Random model for property testing: mixed/pure states, noisy or sharp responses."""
+    m = d if outcomes is None else outcomes
+    L = int(rng.integers(1, max_states + 1))
+    states = np.empty((L, d, d), dtype=complex)
+    for k in range(L):
+        if rng.random() < 0.5:
+            states[k] = projector(random_pure_state(d, rng))
+        else:
+            states[k] = random_density_matrix(d, rng)
+    weights = rng.dirichlet(np.ones(L))
+    response = np.empty((L, n, m))
+    for k in range(L):
+        for x in range(n):
+            if rng.random() < 0.5:
+                row = np.zeros(m)
+                row[int(rng.integers(m))] = 1.0
+            else:
+                row = rng.dirichlet(np.ones(m))
+            response[k, x] = row
+    return LhsModel(d=d, n=n, states=states, weights=weights, response=response)

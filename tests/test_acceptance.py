@@ -13,12 +13,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from steerwork.bounds import (
-    advantage_condition,
-    ground_state_population,
-    w_classical,
-    xi,
+from oracles import (
+    conditional_state,
+    expectation,
+    lhs_work,
+    random_density_matrix,
+    random_lhs_model,
+    random_unitary,
 )
+from steerwork.bounds import advantage_condition, ground_state_population, w_classical
 from steerwork.cli import main as cli_main
 from steerwork.game import (
     GameConfig,
@@ -28,15 +31,8 @@ from steerwork.game import (
     run_exact_quantum,
     run_monte_carlo,
 )
-from steerwork.lhs import (
-    bloch_grid_search,
-    lhs_sup_work,
-    lhs_work,
-    optimize_single_state,
-    random_lhs_model,
-)
+from steerwork.lhs import bloch_grid_search, lhs_sup_work, optimize_single_state
 from steerwork.mub import MubSet, build_mub, supported_family, verify_mub
-from steerwork.qmath import random_density_matrix, random_unitary
 
 BETA_PALETTE = [0.0, 0.5, 1.0, 2.0, math.inf]
 
@@ -77,7 +73,6 @@ def test_criterion_2_assemblage_identity():
     with criterion("2 steered-assemblage identity"):
         start = time.perf_counter()
         from steerwork.game import _quantum_protocol
-        from steerwork.qmath import expectation
 
         for d in [2, 3, 5, 7, 11, 13]:
             n_max = 3 if d == 2 else d + 1
@@ -85,7 +80,7 @@ def test_criterion_2_assemblage_identity():
                 asm, mub = _quantum_protocol(GameConfig(d=d, n=n))
                 for x in range(n):
                     for a in range(d):
-                        fid = expectation(asm.conditional_state(x, a), mub.vector(x, a))
+                        fid = expectation(conditional_state(asm, x, a), mub.bases[x, a])
                         assert fid > 1 - 1e-10, (d, n, x, a, fid)
                         assert abs(asm.p[x, a] - 1.0 / d) <= 1e-10, (d, n, x, a)
         assert time.perf_counter() - start < 30.0

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from steerwork.bounds import (
-    XiUndefinedError,
     advantage_condition,
     evaluate_bounds,
     ground_state_population,
     rastegin_bound,
     w_classical,
     w_quantum,
-    xi,
 )
 
 # Frozen from a 50-digit mpmath evaluation of the closed forms (see
@@ -81,21 +79,16 @@ class TestWQuantum:
 
 class TestXi:
     def test_qubit_ratio(self):
-        assert abs(xi(2, 3, 1.0, 1.0) - XI_D2N3_B1) < 1e-10
+        assert abs(evaluate_bounds(2, 3, 1.0, 1.0).xi - XI_D2N3_B1) < 1e-10
 
     def test_qutrit_ratio(self):
-        assert abs(xi(3, 4, 1.0, 1.0) - XI_D3N4_B1) < 1e-10
+        assert abs(evaluate_bounds(3, 4, 1.0, 1.0).xi - XI_D3N4_B1) < 1e-10
 
     @pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 4), (5, 6), (7, 8), (11, 2)])
     def test_infinite_temperature_identity(self, d, n):
         # at beta = 0 the omega and d dependence cancels, leaving sqrt(n)
         for omega in (1.0, 0.3, 42.0):
-            assert abs(xi(d, n, omega, 0.0) - math.sqrt(n)) < 1e-12
-
-    def test_domain_error(self):
-        with pytest.raises(XiUndefinedError) as err:
-            xi(2, 3, 1.0, math.inf)
-        assert err.value.w_classical < 0
+            assert abs(evaluate_bounds(d, n, omega, 0.0).xi - math.sqrt(n)) < 1e-12
 
 
 class TestAdvantageCondition:
@@ -119,7 +112,7 @@ class TestOrderingAndScaling:
 
     def test_xi_strictly_increasing_on_primes(self):
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
-        vals = [xi(d, d + 1, 1.0, 1.0) for d in primes]
+        vals = [evaluate_bounds(d, d + 1, 1.0, 1.0).xi for d in primes]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_xi_scales_like_sqrt_d(self):
@@ -127,7 +120,7 @@ class TestOrderingAndScaling:
         # [1.0, 2.2] from d = 5 on (at d = 2, 3 it is 3.30 and 2.70).
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
         for d in primes:
-            ratio = xi(d, d + 1, 1.0, 1.0) / math.sqrt(d)
+            ratio = evaluate_bounds(d, d + 1, 1.0, 1.0).xi / math.sqrt(d)
             assert ratio >= 1.0
             if d >= 5:
                 assert ratio <= 2.2

@@ -7,7 +7,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from steerwork.cli import main
+from steerwork.cli import build_parser, main
+from steerwork.mub import SUPPORTED_FAMILIES as FAMILIES
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -98,15 +99,23 @@ class TestSimulate:
     def test_unsupported_dimension(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--dim", "6", "--n-bases", "7")
         assert code == 4
-        assert "supported families" in err
+        assert err == f"error: (d=6, n=7) not available; supported families: {FAMILIES}\n"
 
     def test_invalid_config(self, capsys):
-        code, _, _ = run_cli(capsys, "simulate", "--dim", "2", "--n-bases", "3",
-                             "--shots", "-5")
-        assert code == 2
+        for shots in ["-5", "1000000001", "1000000000000"]:
+            code, out, err = run_cli(capsys, "simulate", "--dim", "2", "--n-bases", "3",
+                                     "--shots", shots)
+            assert code == 2
+            assert out == ""
+            assert "argument --shots: " in err  # rejected by the parser, before any work
         code, _, _ = run_cli(capsys, "simulate", "--dim", "2", "--n-bases", "3",
                              "--omega", "inf", "--shots", "10")
         assert code == 2
+
+    def test_shots_cap_is_inclusive(self):
+        args = build_parser().parse_args(["simulate", "--dim", "2", "--n-bases", "3",
+                                          "--shots", "1000000000"])
+        assert args.shots == 10**9
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--dim", "2", "--n-bases", "2",
@@ -150,8 +159,10 @@ class TestScan:
         assert "bad --dims list" in err
 
     def test_unsupported_dim(self, capsys):
-        code, _, _ = run_cli(capsys, "scan", "--dims", "2,6")
+        code, out, err = run_cli(capsys, "scan", "--dims", "2,6")
         assert code == 4
+        assert out == ""
+        assert err == f"error: (d=6, n=7) not available; supported families: {FAMILIES}\n"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "scan.csv"

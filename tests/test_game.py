@@ -7,34 +7,33 @@ import pytest
 
 from steerwork import game
 from steerwork.bounds import ground_state_population, w_classical, w_quantum
+from oracles import (
+    assemblage_from_model,
+    conditional_state,
+    expectation,
+    hamiltonian,
+    min_eigenvalue,
+    partial_trace_A,
+    random_density_matrix,
+    random_lhs_model,
+    random_unitary,
+    tensor_product,
+    thermal_state,
+    work_term,
+)
 from steerwork.game import (
     P_EPS,
     Assemblage,
     GameConfig,
     average_work,
-    hamiltonian,
     maximally_entangled,
     measure_assemblage,
     projective_povm,
     run_exact_quantum,
     run_monte_carlo,
-    thermal_state,
-    work_term,
 )
-from steerwork.lhs import assemblage_from_model, random_lhs_model
-from steerwork.mub import build_mub, conjugate_basis
-from steerwork.qmath import (
-    dagger,
-    expectation,
-    min_eigenvalue,
-    normalize,
-    partial_trace_A,
-    projector,
-    random_density_matrix,
-    random_pure_state,
-    random_unitary,
-    tensor_product,
-)
+from steerwork.mub import build_mub
+from steerwork.qmath import dagger, normalize, projector, random_pure_state
 
 # 1 - e/(e+1) frozen from the 50-digit closed-form evaluation
 WQ_D2_B1 = 0.26894142136999512
@@ -94,18 +93,18 @@ class TestMeasureAssemblage:
                 weight = np.trace(povms[x][a] @ rho_a).real
                 assert np.allclose(asm.sigma[x, a], weight * rho_b, atol=1e-12)
                 if weight > 1e-12:
-                    assert np.allclose(asm.conditional_state(x, a), rho_b, atol=1e-10)
+                    assert np.allclose(conditional_state(asm, x, a), rho_b, atol=1e-10)
 
     def test_entangled_qubits_steer_to_basis_states(self):
         # conjugated-basis measurement on the maximally entangled pair
         # leaves Bob in the matching basis projector with p = 1/2
         mub = build_mub(2, 3)
-        povms = [projective_povm(conjugate_basis(mub, x)) for x in range(3)]
+        povms = [projective_povm(mub.bases[x].conj()) for x in range(3)]
         asm = measure_assemblage(maximally_entangled(2), povms)
         for x in range(3):
             for a in range(2):
                 assert abs(asm.p[x, a] - 0.5) < 1e-12
-                fid = expectation(asm.conditional_state(x, a), mub.vector(x, a))
+                fid = expectation(conditional_state(asm, x, a), mub.bases[x, a])
                 assert abs(fid - 1.0) < 1e-12
 
     @pytest.mark.parametrize("seed", range(5))
@@ -261,7 +260,7 @@ def eigen_work_table(asm, mub, omega, beta):
         for a in range(asm.outcomes):
             if asm.p[x, a] >= P_EPS:
                 h = hamiltonian(mub, a, x, 1.0)
-                table[x, a] = omega * work_term(asm.conditional_state(x, a), h, beta * omega)
+                table[x, a] = omega * work_term(conditional_state(asm, x, a), h, beta * omega)
     return table
 
 
@@ -300,9 +299,9 @@ class TestWorkTable:
         # the reduced states, so Assemblage accepts it; the work ledger must not
         d, n = 3, 4
         mub = build_mub(d, n)
-        povms = [projective_povm(conjugate_basis(mub, x)) for x in range(n)]
+        povms = [projective_povm(mub.bases[x].conj()) for x in range(n)]
         asm = measure_assemblage(maximally_entangled(d), povms)
-        shift = 1e-6j * (projector(mub.vector(0, 0)) - projector(mub.vector(0, 1)))
+        shift = 1e-6j * (projector(mub.bases[0, 0]) - projector(mub.bases[0, 1]))
         sigma = asm.sigma.copy()
         sigma[0, 0] += shift
         sigma[0, 1] -= shift

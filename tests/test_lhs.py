@@ -1,30 +1,29 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from steerwork.bounds import rastegin_bound, w_classical
-from steerwork.game import average_work, measure_assemblage, projective_povm
-from steerwork.lhs import (
+from steerwork.bounds import ground_state_population, rastegin_bound, w_classical
+from oracles import (
     LhsModel,
     assemblage_from_model,
-    bloch_grid_search,
     deterministic_single_state_model,
-    lhs_sup_work,
     lhs_work,
-    mub_overlap_objective,
-    optimize_single_state,
-    random_lhs_model,
-)
-from steerwork.mub import MubSet, build_mub
-from steerwork.qmath import (
-    normalize,
-    overlap2,
-    projector,
     random_density_matrix,
+    random_lhs_model,
     random_unitary,
     tensor_product,
 )
+from steerwork.game import measure_assemblage, projective_povm
+from steerwork.lhs import (
+    bloch_grid_search,
+    lhs_sup_work,
+    mub_overlap_objective,
+    optimize_single_state,
+)
+from steerwork.mub import MubSet, build_mub
+from steerwork.qmath import normalize, random_pure_state
 
 PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -215,6 +214,40 @@ class TestLhsSupWork:
         result = optimize_single_state(mub, restarts=16, seed=4)
         achievable, _, _ = lhs_sup_work(2, 3, 1.0, 0.0, restarts=16, seed=4)
         assert abs(achievable - (result.objective - 0.5)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_closed_form_matches_pipeline_oracle(self, d):
+        # lhs_sup_work prices the deterministic single-state model as
+        # omega * objective - omega * P; the full game pipeline on that
+        # model is the reference, for random states and the optimizer's best
+        n = d + 1
+        mub = build_mub(d, n)
+        rng = np.random.default_rng(40 + d)
+        states = [random_pure_state(d, rng) for _ in range(3)]
+        for omega in (1e-3, 1.0, 1e300):
+            for beta in (0.0, 0.37, 1.0, math.inf):
+                achievable, _, result = lhs_sup_work(d, n, omega, beta, restarts=4,
+                                                     seed=d, mub=mub)
+                pop = ground_state_population(d, omega, beta)
+                cases = [(result.best_state, achievable)]
+                cases += [(psi, omega * mub_overlap_objective(mub, psi) - omega * pop)
+                          for psi in states]
+                for psi, closed in cases:
+                    model = deterministic_single_state_model(mub, psi)
+                    oracle = lhs_work(model, mub, omega, beta)
+                    assert abs(closed - oracle) <= 1e-12 * omega, (omega, beta)
+
+    def test_memory_no_assemblage(self):
+        # running the game on the one-state model built a (32, 31, 31, 31)
+        # complex sigma stack at d = 31, about 15 MB; the closed form needs none
+        mub = build_mub(31, 32)
+        tracemalloc.start()
+        try:
+            lhs_sup_work(31, 32, 1.0, 1.0, mub=mub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"peak allocation {peak / 2**20:.2f} MB"
 
 
 class TestArgmaxTieBreaking:

@@ -3,16 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import overlap2
 from steerwork.mub import (
     MubConstructionError,
+    SUPPORTED_FAMILIES,
     MubSet,
     build_mub,
-    conjugate_basis,
     is_prime,
     supported_family,
     verify_mub,
 )
-from steerwork.qmath import overlap2
 
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23]
 
@@ -25,7 +25,7 @@ def exhaustive_overlap_check(mub, tol):
         for a in range(mub.d):
             for y in range(mub.n):
                 for b in range(mub.d):
-                    ov = abs(np.vdot(mub.vector(x, a), mub.vector(y, b)))
+                    ov = abs(np.vdot(mub.bases[x, a], mub.bases[y, b]))
                     expect = (1.0 if a == b else 0.0) if x == y else target_cross
                     worst = max(worst, abs(ov - expect))
     assert worst < tol, f"worst deviation {worst:.3e}"
@@ -36,19 +36,19 @@ class TestBuildMub:
     def test_qubit_pauli_family(self):
         mub = build_mub(2, 3)
         # basis 0 is computational (Z); bases are the Pauli eigenbases
-        assert np.allclose(mub.basis(0), np.eye(2))
+        assert np.allclose(mub.bases[0], np.eye(2))
         exhaustive_overlap_check(mub, 1e-12)
         for x in range(3):
             for y in range(x + 1, 3):
                 for a in range(2):
                     for b in range(2):
-                        ov = abs(np.vdot(mub.vector(x, a), mub.vector(y, b)))
+                        ov = abs(np.vdot(mub.bases[x, a], mub.bases[y, b]))
                         assert abs(ov - 1 / np.sqrt(2)) < 1e-12
 
     def test_fourier_pair_d4(self):
         mub = build_mub(4, 2)
-        assert np.allclose(mub.basis(0), np.eye(4))
-        cross = np.abs(mub.basis(1).conj() @ mub.basis(0).T)
+        assert np.allclose(mub.bases[0], np.eye(4))
+        cross = np.abs(mub.bases[1].conj() @ mub.bases[0].T)
         assert np.allclose(cross, 0.5, atol=1e-12)
 
     def test_qutrit_full_family(self):
@@ -65,11 +65,15 @@ class TestBuildMub:
         assert supported_family(d, n)
         assert verify_mub(build_mub(d, n), tol=1e-10).passed
 
-    @pytest.mark.parametrize("d,n", [(4, 3), (6, 3), (9, 4), (8, 9), (2, 4), (3, 5), (2, 1)])
+    @pytest.mark.parametrize("d,n", [(4, 3), (6, 3), (9, 4), (8, 9), (2, 4), (3, 5), (2, 1),
+                                     (1, 2), (5, 1)])
     def test_unsupported_raises(self, d, n):
+        # one message for every unsupported pair, d < 2 and n < 2 included
         assert not supported_family(d, n)
-        with pytest.raises(MubConstructionError):
+        with pytest.raises(MubConstructionError) as err:
             build_mub(d, n)
+        assert str(err.value) == (
+            f"(d={d}, n={n}) not available; supported families: {SUPPORTED_FAMILIES}")
 
     def test_error_names_supported_families(self):
         with pytest.raises(MubConstructionError, match="odd prime"):
@@ -147,7 +151,7 @@ class TestVerifyMub:
         report = verify_mub(mub)
         assert abs(report.max_deviation - exhaustive_overlap_check(mub, 1e-12)) <= 1e-15
         x, a, y, b = report.worst_pair
-        ov = abs(np.vdot(mub.vector(x, a), mub.vector(y, b)))
+        ov = abs(np.vdot(mub.bases[x, a], mub.bases[y, b]))
         expect = (1.0 if a == b else 0.0) if x == y else 1.0 / np.sqrt(d)
         assert abs(abs(ov - expect) - report.max_deviation) <= 1e-15
 
@@ -173,30 +177,26 @@ class TestConjugateBasis:
     def test_real_bases_fixed(self):
         mub = build_mub(2, 3)
         for x in (0, 1):  # Z and X eigenbases are real
-            assert np.allclose(conjugate_basis(mub, x), mub.basis(x))
+            assert np.allclose(mub.bases[x].conj(), mub.bases[x])
 
     def test_y_basis_swaps_phases(self):
         mub = build_mub(2, 3)
-        got = conjugate_basis(mub, 2)
+        got = mub.bases[2].conj()
         s = 1 / np.sqrt(2)
         assert np.allclose(got, np.array([[s, -1j * s], [s, 1j * s]]))
 
     def test_fourier_conjugate_orthonormal(self):
         mub = build_mub(3, 2)
-        conj = conjugate_basis(mub, 1)
+        conj = mub.bases[1].conj()
         gram = conj.conj() @ conj.T
         assert np.allclose(gram, np.eye(3), atol=1e-12)
 
     def test_involution(self):
         mub = build_mub(5, 6)
         for x in range(6):
-            twice = np.conj(conjugate_basis(mub, x))
+            twice = np.conj(mub.bases[x].conj())
             for a in range(5):
-                assert overlap2(twice[a], mub.vector(x, a)) > 1 - 1e-12
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            conjugate_basis(build_mub(2, 2), 2)
+                assert overlap2(twice[a], mub.bases[x, a]) > 1 - 1e-12
 
 
 class TestMisc:
@@ -204,9 +204,3 @@ class TestMisc:
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61}
         for d in range(1, 65):
             assert is_prime(d) == (d in primes)
-
-    def test_json_round_trip(self):
-        mub = build_mub(3, 4)
-        again = MubSet.from_json_dict(mub.to_json_dict())
-        assert again.d == 3 and again.n == 4
-        assert np.array_equal(again.bases, mub.bases)

@@ -1,21 +1,23 @@
 import numpy as np
 import pytest
 
-from steerwork.qmath import (
+from oracles import (
     check_density_matrix,
-    check_povm,
-    dagger,
     hermitian_eigensystem,
     min_eigenvalue,
-    normalize,
     overlap2,
     partial_trace_A,
-    principal_eigenvector,
-    projector,
     random_density_matrix,
-    random_pure_state,
     random_unitary,
     tensor_product,
+)
+from steerwork.qmath import (
+    check_povm,
+    dagger,
+    normalize,
+    principal_eigenvector,
+    projector,
+    random_pure_state,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -181,6 +183,10 @@ class TestPrincipalEigenvector:
         b = principal_eigenvector(m)
         assert np.array_equal(a, b)
         assert overlap2(a, np.array([1.0, 0, 0])) > 1 - 1e-12
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            principal_eigenvector(np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_qubit_mub_average(self):
         # average of the +z/+x/+y projectors: the 2x2 Bloch form
