@@ -22,8 +22,10 @@ import sys
 
 from .bounds import evaluate_bounds, json_float
 from .game import GameConfig, run_exact_quantum, run_monte_carlo
-from .lhs import bloch_grid_search, lhs_sup_work
+from .lhs import (DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_TOL,
+                  bloch_grid_search, lhs_sup_work)
 from .mub import MubConstructionError, build_mub, check_supported, verify_mub
+from .qmath import ATOL
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -34,6 +36,10 @@ EXIT_VERIFY_FAIL = 5
 # Monte Carlo time is linear in --shots and nothing is printed until the end;
 # 10^9 shots already take tens of seconds, so a larger count is refused.
 MAX_SHOTS = 10**9
+# The lhs-opt budget likewise: at d = 61, 10^4 restarts at the default --tol
+# take about 25 s, and one restart of 10^5 iterations at --tol 0 about 40 s.
+MAX_RESTARTS = 10**4
+MAX_ITER = 10**5
 
 
 def _fmt(value) -> str:
@@ -94,16 +100,15 @@ def _finite_float(*, positive: bool):
     return parse
 
 
-def _int_in(low: int, high: int | None = None):
-    """argparse type: an integer >= low, and <= high when high is given."""
+def _int_in(low: int, high: int):
+    """argparse type: an integer between low and high inclusive."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low or (high is not None and value > high):
-            bound = f">= {low}" if high is None else f"between {low} and {high}"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {text!r}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be between {low} and {high}, got {text!r}")
         return value
     return parse
 
@@ -151,16 +156,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("lhs-opt", help="maximize the unsteerable work and compare to the ceiling")
     _add_common(p)
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=_finite_float(positive=False), default=1e-12)
-    p.add_argument("--max-iter", type=_int_in(1), default=500)
+    p.add_argument("--restarts", type=_int_in(1, MAX_RESTARTS), default=DEFAULT_RESTARTS)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--tol", type=_finite_float(positive=False), default=DEFAULT_TOL)
+    p.add_argument("--max-iter", type=_int_in(1, MAX_ITER), default=DEFAULT_MAX_ITER)
     p.set_defaults(func=cmd_lhs_opt)
 
     p = subs.add_parser("verify-mub", help="certify the overlap relations of a constructed family")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--n-bases", type=int, required=True)
-    p.add_argument("--tol", type=_finite_float(positive=False), default=1e-10)
+    p.add_argument("--tol", type=_finite_float(positive=False), default=ATOL)
     _add_output(p)
     p.set_defaults(func=cmd_verify_mub)
 

@@ -10,7 +10,9 @@ figure of merit is the average over uniform x and the outcome statistics.
 H has rank 1, so the work of a round is omega (F - P), with F the fidelity
 of Bob's state with |phi_x^a> and P the ground-level Gibbs population; the
 pipeline evaluates that closed form for all (a, x) at once, in units of
-omega, and never builds a Hamiltonian or a Gibbs state. The general
+omega, and never builds a Hamiltonian or a Gibbs state. A protocol run
+checks F = 1 on the same table it prices, and every check here uses the
+one tolerance qmath.ATOL (in units of omega for the work). The general
 per-round ledger by diagonalization lives in tests/oracles.py, where the
 tests compare the closed form against it.
 
@@ -24,19 +26,17 @@ within a version.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from .mub import MubSet, build_mub
-from .qmath import check_povm, projector
+from .qmath import ATOL, check_povm, projector
 
 # Outcomes with p(a|x) below this contribute zero work: their normalized
 # post-measurement state is undefined and the unnormalized summand vanishes.
 P_EPS = 1e-14
-
-ATOL_ASSEMBLAGE = 1e-10
 
 # Monte Carlo shots drawn per chunk; memory is O(CHUNK) whatever the shot count.
 CHUNK = 1 << 16
@@ -54,14 +54,9 @@ class GameConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"dimension must be >= 2, got d={self.d}")
+        bounds_mod.check_parameters(self.d, self.omega, self.beta)
         if self.n < 2:
             raise ValueError(f"need at least two settings, got n={self.n}")
-        if not self.omega > 0:
-            raise ValueError(f"energy gap must be positive, got omega={self.omega}")
-        if not (self.beta >= 0):
-            raise ValueError(f"inverse temperature must be >= 0, got beta={self.beta}")
         if self.shots < 0:
             raise ValueError(f"shot count must be >= 0, got shots={self.shots}")
 
@@ -89,15 +84,15 @@ class Assemblage:
                 f"d={self.d}, n={self.n}"
             )
         traces = np.einsum("xaii->xa", self.sigma).real
-        if np.max(np.abs(traces - self.p)) > ATOL_ASSEMBLAGE:
+        if np.max(np.abs(traces - self.p)) > ATOL:
             raise ValueError("p(a|x) does not match Tr(sigma_{a|x})")
         if np.min(self.p) < -1e-12:
             raise ValueError(f"negative outcome probability: {np.min(self.p):.3e}")
-        if np.max(np.abs(self.p.sum(axis=1) - 1.0)) > ATOL_ASSEMBLAGE:
+        if np.max(np.abs(self.p.sum(axis=1) - 1.0)) > ATOL:
             raise ValueError("outcome probabilities do not sum to 1 per setting")
         reduced = self.sigma.sum(axis=1)
         dev = np.max(np.abs(reduced - reduced[0]))
-        if dev > ATOL_ASSEMBLAGE:
+        if dev > ATOL:
             raise ValueError(f"assemblage signals: reduced states differ by {dev:.3e}")
 
     @property
@@ -124,21 +119,9 @@ class WorkReport:
     per_round: np.ndarray = field(repr=False)
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "omega": self.omega,
-            "beta": bounds_mod.json_float(self.beta),
-            "mode": self.mode,
-            "shots": self.shots,
-            "seed": self.seed,
-            "average": self.average,
-            "stderr": self.stderr,
-            "w_classical": self.w_classical,
-            "w_quantum": self.w_quantum,
-            "xi": self.xi,
-            "per_round": [[float(w) for w in row] for row in self.per_round],
-        }
+        """The fields in order, with beta strict-JSON safe and per_round as lists."""
+        return {**asdict(self), "beta": bounds_mod.json_float(self.beta),
+                "per_round": self.per_round.tolist()}
 
 
 def maximally_entangled(d: int) -> np.ndarray:
@@ -185,7 +168,7 @@ def measure_assemblage(rho_ab: np.ndarray, povms: np.ndarray) -> Assemblage:
 def _fidelities(asm: Assemblage, mub: MubSet) -> np.ndarray:
     """F[x, a] = <phi_x^a| sigma_{a|x} |phi_x^a> / p(a|x); 0 where p < P_EPS.
 
-    Raises ValueError when some Im F exceeds 1e-10, which Hermitian
+    Raises ValueError when some Im F exceeds ATOL, which Hermitian
     conditional states cannot produce.
     """
     if asm.d != mub.d or asm.n != mub.n or asm.outcomes != mub.d:
@@ -196,21 +179,25 @@ def _fidelities(asm: Assemblage, mub: MubSet) -> np.ndarray:
     overlap = np.einsum("xaj,xajk,xak->xa", mub.bases.conj(), asm.sigma, mub.bases)
     fid = np.divide(overlap, asm.p, out=np.zeros_like(overlap), where=asm.p >= P_EPS)
     residue = float(np.max(np.abs(fid.imag)))
-    if residue > 1e-10:
+    if residue > ATOL:
         raise ValueError(f"non-Hermitian inputs: imaginary trace residue {residue:.3e}")
     return fid.real
 
 
-def _work_table(asm: Assemblage, mub: MubSet, omega: float, beta: float) -> np.ndarray:
+def _work_table(asm: Assemblage, fid: np.ndarray, omega: float, beta: float) -> np.ndarray:
     """Per-round works F - P in units of omega; zero-probability rounds are 0."""
-    fid = _fidelities(asm, mub)
     pop = bounds_mod.ground_state_population(asm.d, omega, beta)
     return np.where(asm.p >= P_EPS, fid - pop, 0.0)
 
 
 def average_work(asm: Assemblage, mub: MubSet, omega: float, beta: float) -> WorkReport:
     """Average extracted work (1/n) sum_{a,x} p(a|x) W(rho_{a|x}, H_{a|x})."""
-    table = _work_table(asm, mub, omega, beta)
+    return _exact_report(asm, _fidelities(asm, mub), omega, beta)
+
+
+def _exact_report(asm: Assemblage, fid: np.ndarray, omega: float, beta: float) -> WorkReport:
+    """Exact-mode report from an assemblage and its fidelity table."""
+    table = _work_table(asm, fid, omega, beta)
     avg = omega * float(np.sum(asm.p * table) / asm.n)
     return _report(asm.d, asm.n, omega, beta, mode="exact", shots=0, seed=None,
                    average=avg, stderr=None, per_round=omega * table)
@@ -223,41 +210,42 @@ def _report(d, n, omega, beta, *, mode, shots, seed, average, stderr, per_round)
                       w_quantum=bs.w_quantum, xi=bs.xi, per_round=per_round)
 
 
-def _quantum_protocol(config: GameConfig) -> tuple[Assemblage, MubSet]:
+def _quantum_protocol(config: GameConfig) -> tuple[Assemblage, np.ndarray]:
     """Maximally entangled state measured in the conjugated bases.
 
-    The resulting conditional states are exactly the basis projectors with
-    flat outcome statistics; both identities are enforced here because they
-    are theorems, so a violation means an implementation bug.
+    Returns the assemblage and its fidelity table F. The conditional states
+    are exactly the basis projectors with flat outcome statistics; both
+    identities are enforced here because they are theorems, so a violation
+    means an implementation bug.
     """
     mub = build_mub(config.d, config.n)
     asm = measure_assemblage(maximally_entangled(config.d), projective_povm(mub.bases.conj()))
 
     p_dev = np.abs(asm.p - 1.0 / config.d)
     x, a = np.unravel_index(np.argmax(p_dev), p_dev.shape)
-    if p_dev[x, a] > 1e-10:
+    if p_dev[x, a] > ATOL:
         raise RuntimeError(
             f"protocol identity broken: p({a}|{x}) = {asm.p[x, a]!r}, expected 1/d"
         )
     fid = _fidelities(asm, mub)
     x, a = np.unravel_index(np.argmax(np.abs(fid - 1.0)), fid.shape)
-    if abs(fid[x, a] - 1.0) > 1e-10:
+    if abs(fid[x, a] - 1.0) > ATOL:
         raise RuntimeError(
             f"protocol identity broken: conditional state ({a}|{x}) has "
             f"fidelity {fid[x, a]!r} with its basis projector"
         )
-    return asm, mub
+    return asm, fid
 
 
 def run_exact_quantum(config: GameConfig) -> WorkReport:
     """Exact average work of the entanglement-powered protocol.
 
     The report's average equals the closed-form quantum ceiling within
-    1e-10 in units of omega; that identity is asserted before returning.
+    ATOL in units of omega; that identity is asserted before returning.
     """
-    asm, mub = _quantum_protocol(config)
-    report = average_work(asm, mub, config.omega, config.beta)
-    if abs(report.average - report.w_quantum) / config.omega > 1e-10:
+    asm, fid = _quantum_protocol(config)
+    report = _exact_report(asm, fid, config.omega, config.beta)
+    if abs(report.average - report.w_quantum) / config.omega > ATOL:
         raise RuntimeError(
             f"protocol average {report.average!r} deviates from the quantum "
             f"ceiling {report.w_quantum!r}"
@@ -300,8 +288,8 @@ def run_monte_carlo(config: GameConfig) -> WorkReport:
     """
     if config.shots < 1:
         raise ValueError(f"Monte Carlo needs shots >= 1, got {config.shots}")
-    asm, mub = _quantum_protocol(config)
-    table = _work_table(asm, mub, config.omega, config.beta)
+    asm, fid = _quantum_protocol(config)
+    table = _work_table(asm, fid, config.omega, config.beta)
 
     shots = config.shots
     counts = _sample_rounds(asm.p, shots, config.seed)

@@ -10,10 +10,13 @@ Because the work functional is linear in the model, the supremum over LHS
 models is attained on extreme points: a single pure hidden state psi with
 the deterministic response a(x) = argmax_a |<phi_x^a|psi>|^2. That model
 extracts omega * objective(psi) - omega * P exactly, with P the ground-level
-Gibbs population, so no assemblage is built here. Finding the best pure
-state is the nonconvex problem max_psi (1/n) sum_x max_a |<phi_x^a|psi>|^2,
-handled by alternating maximization with random restarts, plus an
-exhaustive Bloch-sphere grid as an independent oracle at d = 2. General
+Gibbs population (bounds.work_above_reset, the shape of w_classical), so
+no assemblage is built here. Finding the best pure state is the nonconvex
+problem max_psi (1/n) sum_x max_a |<phi_x^a|psi>|^2, handled by
+alternating maximization with random restarts: the bases are conjugated
+once per call, and one overlap table per iterate gives both the objective
+and the next picks. An exhaustive Bloch-sphere grid, with its own
+contraction, is the independent oracle at d = 2. General
 hidden-state models and the full game pipeline on them live in
 tests/oracles.py, where the tests check this closed form against them.
 """
@@ -28,6 +31,9 @@ import numpy as np
 from . import bounds as bounds_mod
 from .mub import MubSet, build_mub
 from .qmath import principal_eigenvector, random_pure_state
+
+# Defaults of optimize_single_state, which the lhs-opt flags share.
+DEFAULT_RESTARTS, DEFAULT_TOL, DEFAULT_MAX_ITER, DEFAULT_SEED = 32, 1e-12, 500, 0
 
 
 @dataclass
@@ -57,14 +63,9 @@ class OptimizerResult:
         }
 
 
-def mub_overlap_objective(mub: MubSet, psi: np.ndarray) -> float:
-    """(1/n) sum_x max_a |<phi_x^a|psi>|^2 for a pure state psi."""
-    amps = np.abs(mub.bases.conj() @ psi) ** 2
-    return float(amps.max(axis=1).mean())
-
-
-def optimize_single_state(mub: MubSet, restarts: int = 32, tol: float = 1e-12,
-                          max_iter: int = 500, seed: int = 0) -> OptimizerResult:
+def optimize_single_state(mub: MubSet, restarts: int = DEFAULT_RESTARTS,
+                          tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                          seed: int = DEFAULT_SEED) -> OptimizerResult:
     """Alternating maximization of the single-state overlap objective.
 
     From a random pure state, repeat: pick the best outcome per basis
@@ -73,12 +74,20 @@ def optimize_single_state(mub: MubSet, restarts: int = 32, tol: float = 1e-12,
     maximizations, so the objective never decreases; a decrease beyond
     rounding raises RuntimeError. Restarts use seeds spawned from the
     master seed and the best restart wins, ties going to the earliest.
+    Each iterate's overlap table |<phi_x^a|psi>|^2 gives both its
+    objective and the next picks.
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
     if max_iter < 1:
         raise ValueError(f"need at least one iteration, got max_iter={max_iter}")
-    d, n = mub.d, mub.n
+    n = mub.n
+    conj = mub.bases.conj()
+
+    def overlaps(psi: np.ndarray) -> tuple[np.ndarray, float]:
+        amps = np.abs(conj @ psi) ** 2
+        return amps, float(amps.max(axis=1).mean())
+
     best_obj = -math.inf
     best_state = None
     best_converged = False
@@ -87,14 +96,13 @@ def optimize_single_state(mub: MubSet, restarts: int = 32, tol: float = 1e-12,
     seed_seqs = np.random.SeedSequence(seed).spawn(restarts)
     for seq in seed_seqs:
         rng = np.random.default_rng(seq)
-        psi = random_pure_state(d, rng)
-        obj = mub_overlap_objective(mub, psi)
+        psi = random_pure_state(mub.d, rng)
+        amps, obj = overlaps(psi)
         converged = False
         for _ in range(max_iter):
-            picks = np.argmax(np.abs(mub.bases.conj() @ psi) ** 2, axis=1)
-            picked = mub.bases[np.arange(n), picks]
+            picked = mub.bases[np.arange(n), np.argmax(amps, axis=1)]
             psi = principal_eigenvector(picked.T @ picked.conj() / n)
-            new_obj = mub_overlap_objective(mub, psi)
+            amps, new_obj = overlaps(psi)
             total_iters += 1
             if new_obj < obj - 1e-12:
                 raise RuntimeError(
@@ -159,22 +167,21 @@ def bloch_grid_search(mub: MubSet, resolution: int = 500) -> OptimizerResult:
                            iterations=levels, converged=True)
 
 
-def lhs_sup_work(d: int, n: int, omega: float, beta: float, restarts: int = 32,
-                 tol: float = 1e-12, max_iter: int = 500, seed: int = 0,
-                 mub: MubSet | None = None) -> tuple[float, float, OptimizerResult]:
+def lhs_sup_work(d: int, n: int, omega: float, beta: float, mub: MubSet | None = None,
+                 **optimizer) -> tuple[float, float, OptimizerResult]:
     """Best LHS work found numerically, next to the closed-form ceiling.
 
-    Returns (achievable, bound, result) with result the optimizer's output.
-    The achievable side is the work of the deterministic single-state model
-    on the optimizer's best state, omega * objective - omega * P with P the
-    ground-level Gibbs population; bound is w_classical, the same expression
-    with the Rastegin overlap bound in place of the objective.
+    Returns (achievable, bound, result) with result the output of
+    optimize_single_state, which receives the optimizer keywords (restarts,
+    tol, max_iter, seed). The achievable side is the work of the
+    deterministic single-state model on the optimizer's best state,
+    omega * objective - omega * P with P the ground-level Gibbs population;
+    bound is w_classical, the same expression with the Rastegin overlap
+    bound in place of the objective.
     """
     if mub is None:
         mub = build_mub(d, n)
-    result = optimize_single_state(mub, restarts=restarts, tol=tol,
-                                   max_iter=max_iter, seed=seed)
-    achievable = (omega * result.objective
-                  - omega * bounds_mod.ground_state_population(d, omega, beta))
-    bound = bounds_mod.w_classical(d, n, omega, beta)
-    return achievable, bound, result
+    result = optimize_single_state(mub, **optimizer)
+    achievable = bounds_mod.work_above_reset(
+        omega, result.objective, bounds_mod.ground_state_population(d, omega, beta))
+    return achievable, bounds_mod.w_classical(d, n, omega, beta), result

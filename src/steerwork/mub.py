@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .qmath import ATOL
+
 SUPPORTED_FAMILIES = (
     "(any d >= 2, n = 2), (d = 2, n <= 3), (odd prime d, n <= d + 1)"
 )
@@ -136,7 +138,7 @@ def build_mub(d: int, n: int) -> MubSet:
     return MubSet(d=d, n=n, bases=bases)
 
 
-def verify_mub(mub: MubSet, tol: float = 1e-10) -> MubVerification:
+def verify_mub(mub: MubSet, tol: float = ATOL) -> MubVerification:
     """Check the defining overlap relations of a MubSet.
 
     Report-style: never raises on a bad set, just flags it with the worst

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# Slack for Hermiticity, positivity and POVM completeness checks.
-ATOL_PSD = 1e-10
+# The one absolute slack of the package's numerical checks: Hermiticity,
+# positivity, POVM completeness, assemblage and protocol identities (the
+# latter in units of omega) and MUB overlaps.
+ATOL = 1e-10
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -25,7 +27,7 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def check_hermitian(m: np.ndarray, tol: float = ATOL_PSD) -> None:
+def check_hermitian(m: np.ndarray, tol: float = ATOL) -> None:
     """Raise ValueError unless m is square and Hermitian within tol."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -48,7 +50,7 @@ def projector(psi: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def principal_eigenvector(m: np.ndarray, tol: float = ATOL_PSD) -> np.ndarray:
+def principal_eigenvector(m: np.ndarray, tol: float = ATOL) -> np.ndarray:
     """Normalized eigenvector of the largest eigenvalue of a Hermitian matrix.
 
     Raises ValueError unless m is Hermitian within tol. Degenerate top
@@ -61,7 +63,7 @@ def principal_eigenvector(m: np.ndarray, tol: float = ATOL_PSD) -> np.ndarray:
     return v[:, int(np.argmax(w))].copy()
 
 
-def check_povm(effects: np.ndarray, tol: float = ATOL_PSD) -> None:
+def check_povm(effects: np.ndarray, tol: float = ATOL) -> None:
     """Raise ValueError unless the (m, d, d) stack of effects forms a POVM.
 
     Each effect must be Hermitian and PSD within tol, and the effects must

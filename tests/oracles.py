@@ -15,7 +15,7 @@ import numpy as np
 
 from steerwork.game import P_EPS, Assemblage, average_work
 from steerwork.mub import MubSet
-from steerwork.qmath import ATOL_PSD, check_hermitian, dagger, projector, random_pure_state
+from steerwork.qmath import ATOL, check_hermitian, dagger, projector, random_pure_state
 
 ATOL_CONSTRUCT = 1e-12
 
@@ -59,7 +59,7 @@ def partial_trace_A(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return np.einsum("ikil->kl", r4)
 
 
-def hermitian_eigensystem(m: np.ndarray, tol: float = ATOL_PSD) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigensystem(m: np.ndarray, tol: float = ATOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (w, v) with eigenvalues w ascending and orthonormal eigenvectors
@@ -69,14 +69,14 @@ def hermitian_eigensystem(m: np.ndarray, tol: float = ATOL_PSD) -> tuple[np.ndar
     return np.linalg.eigh(np.asarray(m, dtype=complex))
 
 
-def min_eigenvalue(m: np.ndarray, tol: float = ATOL_PSD) -> float:
+def min_eigenvalue(m: np.ndarray, tol: float = ATOL) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     w, _ = hermitian_eigensystem(m, tol)
     return float(w[0])
 
 
 def check_density_matrix(rho: np.ndarray, tol_construct: float = ATOL_CONSTRUCT,
-                         tol_psd: float = ATOL_PSD) -> None:
+                         tol_psd: float = ATOL) -> None:
     """Raise ValueError unless rho is Hermitian, unit-trace and PSD.
 
     Hermiticity and trace are held to tol_construct; the smallest eigenvalue
@@ -203,6 +203,12 @@ def assemblage_from_model(model: LhsModel) -> Assemblage:
 def lhs_work(model: LhsModel, mub: MubSet, omega: float, beta: float) -> float:
     """Average work the model extracts against the MUB quench Hamiltonians."""
     return average_work(assemblage_from_model(model), mub, omega, beta).average
+
+
+def mub_overlap_objective(mub: MubSet, psi: np.ndarray) -> float:
+    """(1/n) sum_x max_a |<phi_x^a|psi>|^2 for a pure state psi."""
+    amps = np.abs(mub.bases.conj() @ psi) ** 2
+    return float(amps.max(axis=1).mean())
 
 
 def deterministic_single_state_model(mub: MubSet, psi: np.ndarray) -> LhsModel:

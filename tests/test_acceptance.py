@@ -21,7 +21,7 @@ from oracles import (
     random_lhs_model,
     random_unitary,
 )
-from steerwork.bounds import advantage_condition, ground_state_population, w_classical
+from steerwork.bounds import evaluate_bounds, ground_state_population, w_classical
 from steerwork.cli import main as cli_main
 from steerwork.game import (
     GameConfig,
@@ -77,7 +77,8 @@ def test_criterion_2_assemblage_identity():
         for d in [2, 3, 5, 7, 11, 13]:
             n_max = 3 if d == 2 else d + 1
             for n in range(2, n_max + 1):
-                asm, mub = _quantum_protocol(GameConfig(d=d, n=n))
+                asm, _ = _quantum_protocol(GameConfig(d=d, n=n))
+                mub = build_mub(d, n)
                 for x in range(n):
                     for a in range(d):
                         fid = expectation(conditional_state(asm, x, a), mub.bases[x, a])
@@ -144,7 +145,7 @@ def test_criterion_5_scaling_table(tmp_path):
 def test_criterion_6_advantage_from_two_bases():
     with criterion("6 two bases suffice for an advantage"):
         for d in range(2, 65):
-            assert advantage_condition(d, 2), d
+            assert evaluate_bounds(d, 2, 1.0, 1.0).advantage, d
 
 
 def test_criterion_7_generic_ceiling():

@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from steerwork.bounds import (
-    advantage_condition,
-    evaluate_bounds,
-    ground_state_population,
-    rastegin_bound,
-    w_classical,
-    w_quantum,
-)
+from steerwork import bounds
+from steerwork.bounds import evaluate_bounds, ground_state_population, rastegin_bound, w_classical
 
 # Frozen from a 50-digit mpmath evaluation of the closed forms (see
 # tests/test_acceptance.py for the oracle used at acceptance time).
@@ -60,21 +54,21 @@ class TestWClassical:
 
 class TestWQuantum:
     def test_qubit_value(self):
-        assert abs(w_quantum(2, 1.0, 1.0) - WQ_D2_B1) < 1e-12
+        assert abs(evaluate_bounds(2, 2, 1.0, 1.0).w_quantum - WQ_D2_B1) < 1e-12
 
     def test_qutrit_value(self):
-        assert abs(w_quantum(3, 1.0, 1.0) - WQ_D3_B1) < 1e-12
+        assert abs(evaluate_bounds(3, 2, 1.0, 1.0).w_quantum - WQ_D3_B1) < 1e-12
 
     def test_zero_temperature(self):
         for d in (2, 3, 17):
-            assert w_quantum(d, 1.0, math.inf) == 0.0
+            assert evaluate_bounds(d, 2, 1.0, math.inf).w_quantum == 0.0
 
     def test_infinite_temperature(self):
         for d in (2, 5, 64):
-            assert abs(w_quantum(d, 3.0, 0.0) - 3.0 * (1 - 1 / d)) < 1e-12
+            assert abs(evaluate_bounds(d, 2, 3.0, 0.0).w_quantum - 3.0 * (1 - 1 / d)) < 1e-12
 
     def test_huge_beta_no_overflow(self):
-        assert w_quantum(2, 1.0, 1e6) == 0.0
+        assert evaluate_bounds(2, 2, 1.0, 1e6).w_quantum == 0.0
 
 
 class TestXi:
@@ -90,17 +84,24 @@ class TestXi:
         for omega in (1.0, 0.3, 42.0):
             assert abs(evaluate_bounds(d, n, omega, 0.0).xi - math.sqrt(n)) < 1e-12
 
+    @pytest.mark.parametrize("omega", [1e-300, 1e-310, 1e-320, 5e-324])
+    def test_tiny_omega_limit(self, omega):
+        # beta*omega -> 0 gives xi -> sqrt(n), even where omega * r - omega * P
+        # underflows to a few subnormal units or to zero
+        for d, n in [(2, 3), (3, 4), (5, 6), (7, 2)]:
+            assert evaluate_bounds(d, n, omega, 1.0).xi == pytest.approx(math.sqrt(n), rel=1e-12)
+
 
 class TestAdvantageCondition:
     def test_two_bases_any_dimension(self):
-        assert all(advantage_condition(d, 2) for d in range(2, 65))
+        assert all(evaluate_bounds(d, 2, 1.0, 1.0).advantage for d in range(2, 65))
 
     def test_single_basis_boundary(self):
         # d*sqrt(1)/(sqrt(1) + d - 1) = 1 exactly: no strict advantage
-        assert not advantage_condition(2, 1)
+        assert not evaluate_bounds(2, 1, 1.0, 1.0).advantage
 
     def test_qubit_three_bases(self):
-        assert advantage_condition(2, 3)
+        assert evaluate_bounds(2, 3, 1.0, 1.0).advantage
 
 
 class TestOrderingAndScaling:
@@ -108,7 +109,7 @@ class TestOrderingAndScaling:
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 5.0, math.inf])
     def test_quantum_beats_classical(self, d, n, beta):
         for omega in (1.0, 2.0):
-            assert w_quantum(d, omega, beta) > w_classical(d, n, omega, beta)
+            assert evaluate_bounds(d, n, omega, beta).w_quantum > w_classical(d, n, omega, beta)
 
     def test_xi_strictly_increasing_on_primes(self):
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
@@ -140,10 +141,18 @@ class TestBoundSet:
     def test_bundle_matches_parts(self):
         bs = evaluate_bounds(3, 4, 1.0, 1.0)
         assert bs.w_classical == w_classical(3, 4, 1.0, 1.0)
-        assert bs.w_quantum == w_quantum(3, 1.0, 1.0)
+        assert bs.w_quantum == 1.0 * (1.0 - ground_state_population(3, 1.0, 1.0))
         assert bs.xi == pytest.approx(XI_D3N4_B1, abs=1e-10)
         assert bs.rastegin == rastegin_bound(3, 4)
         assert bs.advantage
+
+    def test_one_population_and_overlap_bound(self, monkeypatch):
+        calls = []
+        for name in ("ground_state_population", "rastegin_bound"):
+            genuine = getattr(bounds, name)
+            monkeypatch.setattr(bounds, name, lambda *a, f=genuine, k=name: calls.append(k) or f(*a))
+        evaluate_bounds(3, 4, 1.0, 1.0)
+        assert sorted(calls) == ["ground_state_population", "rastegin_bound"]
 
     def test_xi_none_off_domain(self):
         bs = evaluate_bounds(2, 3, 1.0, math.inf)

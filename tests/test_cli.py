@@ -205,11 +205,22 @@ class TestLhsOpt:
 
     @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "inf"),
                                              ("--tol", "-1"), ("--omega", "inf"),
-                                             ("--max-iter", "-1"), ("--max-iter", "0")])
+                                             ("--max-iter", "-1"), ("--max-iter", "0"),
+                                             ("--max-iter", "100001"),
+                                             ("--max-iter", "100000000"),
+                                             ("--restarts", "0"), ("--restarts", "-2"),
+                                             ("--restarts", "10001"),
+                                             ("--restarts", "100000000")])
     def test_invalid_flags(self, capsys, flag, value):
-        code, _, err = run_cli(capsys, "lhs-opt", "--dim", "2", "--n-bases", "3", flag, value)
+        code, out, err = run_cli(capsys, "lhs-opt", "--dim", "2", "--n-bases", "3", flag, value)
         assert code == 2
+        assert out == ""
         assert f"argument {flag}: " in err  # rejected by the parser, before any work
+
+    def test_budget_caps_are_inclusive(self):
+        args = build_parser().parse_args(["lhs-opt", "--dim", "2", "--n-bases", "3",
+                                          "--restarts", "10000", "--max-iter", "100000"])
+        assert (args.restarts, args.max_iter) == (10**4, 10**5)
 
 
 class TestVerifyMub:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from steerwork import game
-from steerwork.bounds import ground_state_population, w_classical, w_quantum
+from steerwork.bounds import evaluate_bounds, ground_state_population, w_classical
 from oracles import (
     assemblage_from_model,
     conditional_state,
@@ -328,7 +328,7 @@ class TestRunExactQuantum:
     @pytest.mark.parametrize("d,n,beta", [(2, 3, 1.0), (3, 4, 0.5), (5, 6, 2.0), (2, 2, math.inf)])
     def test_matches_closed_form(self, d, n, beta):
         report = run_exact_quantum(GameConfig(d=d, n=n, omega=1.0, beta=beta))
-        assert abs(report.average - w_quantum(d, 1.0, beta)) < 1e-10
+        assert abs(report.average - evaluate_bounds(d, n, 1.0, beta).w_quantum) < 1e-10
 
     @pytest.mark.parametrize("mix,match", [
         # doubly stochastic: traces stay 1/d, one conditional state is worst
@@ -364,8 +364,19 @@ class TestRunExactQuantum:
     def test_report_embeds_bounds(self):
         report = run_exact_quantum(GameConfig(d=2, n=3))
         assert report.w_classical == w_classical(2, 3, 1.0, 1.0)
-        assert report.w_quantum == w_quantum(2, 1.0, 1.0)
+        assert report.w_quantum == evaluate_bounds(2, 3, 1.0, 1.0).w_quantum
         assert report.xi == pytest.approx(4.66778023896922317, abs=1e-10)
+
+
+@pytest.mark.parametrize("shots", [0, 1000])
+def test_one_fidelity_table_per_run(monkeypatch, shots):
+    # the protocol's identity check and its work table read the same F
+    calls = []
+    genuine = game._fidelities
+    monkeypatch.setattr(game, "_fidelities", lambda *a: calls.append(1) or genuine(*a))
+    config = GameConfig(d=3, n=4, shots=shots)
+    (run_monte_carlo if shots else run_exact_quantum)(config)
+    assert len(calls) == 1
 
 
 class TestRunMonteCarlo:

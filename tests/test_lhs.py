@@ -10,6 +10,7 @@ from oracles import (
     assemblage_from_model,
     deterministic_single_state_model,
     lhs_work,
+    mub_overlap_objective,
     random_density_matrix,
     random_lhs_model,
     random_unitary,
@@ -19,7 +20,6 @@ from steerwork.game import measure_assemblage, projective_povm
 from steerwork.lhs import (
     bloch_grid_search,
     lhs_sup_work,
-    mub_overlap_objective,
     optimize_single_state,
 )
 from steerwork.mub import MubSet, build_mub
