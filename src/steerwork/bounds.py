@@ -17,11 +17,11 @@ from dataclasses import asdict, dataclass
 
 
 def check_parameters(d: int, omega: float, beta: float) -> None:
-    """Raise ValueError unless d >= 2, omega > 0 and beta >= 0 (inf allowed)."""
+    """Raise ValueError unless d >= 2, 0 < omega < inf and beta >= 0 (inf allowed)."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got d={d}")
-    if not omega > 0:
-        raise ValueError(f"energy gap must be positive, got omega={omega}")
+    if not 0 < omega < math.inf:
+        raise ValueError(f"energy gap must be finite and positive, got omega={omega}")
     if not (beta >= 0):
         raise ValueError(f"inverse temperature must be >= 0, got beta={beta}")
 
@@ -56,15 +56,6 @@ def work_above_reset(omega: float, overlap: float, population: float) -> float:
     this much once the thermal reset cost omega * P is taken off.
     """
     return omega * overlap - omega * population
-
-
-def w_classical(d: int, n: int, omega: float, beta: float) -> float:
-    """Ceiling on the average extracted work without steering.
-
-    omega * rastegin_bound(d, n) minus the thermal reset cost; can go
-    negative at low temperature.
-    """
-    return work_above_reset(omega, rastegin_bound(d, n), ground_state_population(d, omega, beta))
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,9 @@ MAX_SHOTS = 10**9
 # take about 25 s, and one restart of 10^5 iterations at --tol 0 about 40 s.
 MAX_RESTARTS = 10**4
 MAX_ITER = 10**5
+# Monte Carlo keys a Philox generator with the seed, and Philox keys are
+# 128-bit; lhs-opt shares the range so that one seed works for both.
+MAX_SEED = 2**128 - 1
 
 
 def _fmt(value) -> str:
@@ -143,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--shots", type=_int_in(0, MAX_SHOTS), default=0,
                    help=f"0 = exact mode (default); at most {MAX_SHOTS}")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_int_in(0, MAX_SEED), default=0,
+                   help="RNG seed, from 0 to 2**128 - 1 (default 0)")
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("scan", help="sweep dimensions at n = d+1 and tabulate the advantage")
@@ -157,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("lhs-opt", help="maximize the unsteerable work and compare to the ceiling")
     _add_common(p)
     p.add_argument("--restarts", type=_int_in(1, MAX_RESTARTS), default=DEFAULT_RESTARTS)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_int_in(0, MAX_SEED), default=DEFAULT_SEED)
     p.add_argument("--tol", type=_finite_float(positive=False), default=DEFAULT_TOL)
     p.add_argument("--max-iter", type=_int_in(1, MAX_ITER), default=DEFAULT_MAX_ITER)
     p.set_defaults(func=cmd_lhs_opt)
@@ -217,10 +221,10 @@ def cmd_scan(args) -> int:
 def cmd_lhs_opt(args) -> int:
     mub = build_mub(args.dim, args.n_bases)
     achievable, bound, result = lhs_sup_work(
-        args.dim, args.n_bases, args.omega, args.beta, restarts=args.restarts,
-        tol=args.tol, max_iter=args.max_iter, seed=args.seed, mub=mub)
+        mub, args.omega, args.beta, restarts=args.restarts, tol=args.tol,
+        max_iter=args.max_iter, seed=args.seed)
     gap = bound - achievable
-    oracle = bloch_grid_search(mub, resolution=500) if args.dim == 2 else None
+    oracle = bloch_grid_search(mub) if args.dim == 2 else None
     agreement = abs(oracle.objective - result.objective) if oracle else None
 
     head = {"d": args.dim, "n": args.n_bases, "omega": args.omega, "beta": json_float(args.beta)}

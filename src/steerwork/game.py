@@ -184,23 +184,9 @@ def _fidelities(asm: Assemblage, mub: MubSet) -> np.ndarray:
     return fid.real
 
 
-def _work_table(asm: Assemblage, fid: np.ndarray, omega: float, beta: float) -> np.ndarray:
+def _work_table(asm: Assemblage, fid: np.ndarray, pop: float) -> np.ndarray:
     """Per-round works F - P in units of omega; zero-probability rounds are 0."""
-    pop = bounds_mod.ground_state_population(asm.d, omega, beta)
     return np.where(asm.p >= P_EPS, fid - pop, 0.0)
-
-
-def average_work(asm: Assemblage, mub: MubSet, omega: float, beta: float) -> WorkReport:
-    """Average extracted work (1/n) sum_{a,x} p(a|x) W(rho_{a|x}, H_{a|x})."""
-    return _exact_report(asm, _fidelities(asm, mub), omega, beta)
-
-
-def _exact_report(asm: Assemblage, fid: np.ndarray, omega: float, beta: float) -> WorkReport:
-    """Exact-mode report from an assemblage and its fidelity table."""
-    table = _work_table(asm, fid, omega, beta)
-    avg = omega * float(np.sum(asm.p * table) / asm.n)
-    return _report(asm.d, asm.n, omega, beta, mode="exact", shots=0, seed=None,
-                   average=avg, stderr=None, per_round=omega * table)
 
 
 def _report(d, n, omega, beta, *, mode, shots, seed, average, stderr, per_round) -> WorkReport:
@@ -240,17 +226,23 @@ def _quantum_protocol(config: GameConfig) -> tuple[Assemblage, np.ndarray]:
 def run_exact_quantum(config: GameConfig) -> WorkReport:
     """Exact average work of the entanglement-powered protocol.
 
-    The report's average equals the closed-form quantum ceiling within
-    ATOL in units of omega; that identity is asserted before returning.
+    The average, in units of omega, equals the closed-form quantum ceiling
+    1 - P within ATOL; that identity is asserted before returning. It is
+    checked before scaling by omega, so a subnormal omega cannot round it
+    apart.
     """
     asm, fid = _quantum_protocol(config)
-    report = _exact_report(asm, fid, config.omega, config.beta)
-    if abs(report.average - report.w_quantum) / config.omega > ATOL:
+    omega, beta = config.omega, config.beta
+    pop = bounds_mod.ground_state_population(config.d, omega, beta)
+    table = _work_table(asm, fid, pop)
+    mean = float(np.sum(asm.p * table) / asm.n)
+    if abs(mean - (1.0 - pop)) > ATOL:
         raise RuntimeError(
-            f"protocol average {report.average!r} deviates from the quantum "
-            f"ceiling {report.w_quantum!r}"
+            f"protocol average {mean!r} deviates from the quantum ceiling "
+            f"{1.0 - pop!r} in units of omega"
         )
-    return report
+    return _report(config.d, config.n, omega, beta, mode="exact", shots=0, seed=None,
+                   average=omega * mean, stderr=None, per_round=omega * table)
 
 
 def _sample_rounds(p: np.ndarray, shots: int, seed: int) -> np.ndarray:
@@ -289,7 +281,8 @@ def run_monte_carlo(config: GameConfig) -> WorkReport:
     if config.shots < 1:
         raise ValueError(f"Monte Carlo needs shots >= 1, got {config.shots}")
     asm, fid = _quantum_protocol(config)
-    table = _work_table(asm, fid, config.omega, config.beta)
+    pop = bounds_mod.ground_state_population(config.d, config.omega, config.beta)
+    table = _work_table(asm, fid, pop)
 
     shots = config.shots
     counts = _sample_rounds(asm.p, shots, config.seed)

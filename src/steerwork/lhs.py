@@ -29,11 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bounds_mod
-from .mub import MubSet, build_mub
+from .mub import MubSet
 from .qmath import principal_eigenvector, random_pure_state
 
 # Defaults of optimize_single_state, which the lhs-opt flags share.
 DEFAULT_RESTARTS, DEFAULT_TOL, DEFAULT_MAX_ITER, DEFAULT_SEED = 32, 1e-12, 500, 0
+
+# Points per axis of bloch_grid_search's initial (theta, phi) grid.
+BLOCH_RESOLUTION = 500
 
 
 @dataclass
@@ -124,18 +127,16 @@ def optimize_single_state(mub: MubSet, restarts: int = DEFAULT_RESTARTS,
                            converged=best_converged)
 
 
-def bloch_grid_search(mub: MubSet, resolution: int = 500) -> OptimizerResult:
+def bloch_grid_search(mub: MubSet) -> OptimizerResult:
     """Brute-force qubit oracle: scan the Bloch sphere, then zoom in.
 
-    Only valid at d = 2. The initial (theta, phi) grid has `resolution`
+    Only valid at d = 2. The initial (theta, phi) grid has BLOCH_RESOLUTION
     points per axis; the window around the best point is then shrunk
     geometrically with a fixed 25 x 25 subgrid until the angular step is
     far below the target precision. Fully deterministic.
     """
     if mub.d != 2:
         raise ValueError(f"Bloch-sphere search requires d = 2, got d={mub.d}")
-    if resolution < 8:
-        raise ValueError(f"resolution too coarse: {resolution}")
 
     def evaluate(thetas: np.ndarray, phis: np.ndarray) -> tuple[float, int]:
         # states (cos(t/2), e^{i f} sin(t/2)) for every grid pair
@@ -145,12 +146,12 @@ def bloch_grid_search(mub: MubSet, resolution: int = 500) -> OptimizerResult:
         objs = amps.max(axis=1).mean(axis=0)
         return float(objs.max()), int(np.argmax(objs))
 
-    thetas = np.linspace(0.0, math.pi, resolution)
-    phis = np.linspace(0.0, 2 * math.pi, resolution, endpoint=False)
+    thetas = np.linspace(0.0, math.pi, BLOCH_RESOLUTION)
+    phis = np.linspace(0.0, 2 * math.pi, BLOCH_RESOLUTION, endpoint=False)
     best, flat = evaluate(thetas, phis)
     t0, f0 = thetas[flat // len(phis)], phis[flat % len(phis)]
 
-    dt = math.pi / resolution
+    dt = math.pi / BLOCH_RESOLUTION
     levels = 0
     while dt > 1e-10:
         thetas = np.clip(np.linspace(t0 - dt, t0 + dt, 25), 0.0, math.pi)
@@ -167,21 +168,20 @@ def bloch_grid_search(mub: MubSet, resolution: int = 500) -> OptimizerResult:
                            iterations=levels, converged=True)
 
 
-def lhs_sup_work(d: int, n: int, omega: float, beta: float, mub: MubSet | None = None,
+def lhs_sup_work(mub: MubSet, omega: float, beta: float,
                  **optimizer) -> tuple[float, float, OptimizerResult]:
-    """Best LHS work found numerically, next to the closed-form ceiling.
+    """Best LHS work found numerically on mub, next to the closed-form ceiling.
 
     Returns (achievable, bound, result) with result the output of
     optimize_single_state, which receives the optimizer keywords (restarts,
     tol, max_iter, seed). The achievable side is the work of the
     deterministic single-state model on the optimizer's best state,
     omega * objective - omega * P with P the ground-level Gibbs population;
-    bound is w_classical, the same expression with the Rastegin overlap
-    bound in place of the objective.
+    bound is evaluate_bounds(...).w_classical for mub's (d, n), the same
+    expression with the Rastegin overlap bound in place of the objective.
     """
-    if mub is None:
-        mub = build_mub(d, n)
+    bound = bounds_mod.evaluate_bounds(mub.d, mub.n, omega, beta).w_classical
     result = optimize_single_state(mub, **optimizer)
     achievable = bounds_mod.work_above_reset(
-        omega, result.objective, bounds_mod.ground_state_population(d, omega, beta))
-    return achievable, bounds_mod.w_classical(d, n, omega, beta), result
+        omega, result.objective, bounds_mod.ground_state_population(mub.d, omega, beta))
+    return achievable, bound, result

@@ -100,14 +100,10 @@ def _pauli_bases() -> np.ndarray:
     )
 
 
-def _fourier_basis(d: int) -> np.ndarray:
-    j = np.arange(d)
-    return np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
-
-
 def _quadratic_basis(d: int, x: int) -> np.ndarray:
     # Vector a has j-th component d^{-1/2} exp(2 pi i (x j^2 + a j)/d);
-    # for x = d the quadratic phase drops out and this is the Fourier basis.
+    # for x = 0 or x = d the quadratic phase drops out and this is the
+    # Fourier basis, which is unbiased to the computational one for any d.
     j = np.arange(d)
     quad = np.exp(2j * np.pi * x * (j * j % d) / d)
     lin = np.exp(2j * np.pi * np.outer(np.arange(d), j) / d)
@@ -134,7 +130,7 @@ def build_mub(d: int, n: int) -> MubSet:
     elif is_prime(d):
         bases = np.stack([np.eye(d, dtype=complex)] + [_quadratic_basis(d, x) for x in range(1, n)])
     else:
-        bases = np.stack([np.eye(d, dtype=complex), _fourier_basis(d)])
+        bases = np.stack([np.eye(d, dtype=complex), _quadratic_basis(d, 0)])
     return MubSet(d=d, n=n, bases=bases)
 
 

@@ -50,38 +50,38 @@ def projector(psi: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def principal_eigenvector(m: np.ndarray, tol: float = ATOL) -> np.ndarray:
+def principal_eigenvector(m: np.ndarray) -> np.ndarray:
     """Normalized eigenvector of the largest eigenvalue of a Hermitian matrix.
 
-    Raises ValueError unless m is Hermitian within tol. Degenerate top
+    Raises ValueError unless m is Hermitian within ATOL. Degenerate top
     eigenvalues are resolved deterministically: among the ascending eigh
     output, the first column attaining the maximum is chosen. The global
     phase is whatever the eigensolver returns.
     """
-    check_hermitian(m, tol)
+    check_hermitian(m)
     w, v = np.linalg.eigh(np.asarray(m, dtype=complex))
     return v[:, int(np.argmax(w))].copy()
 
 
-def check_povm(effects: np.ndarray, tol: float = ATOL) -> None:
+def check_povm(effects: np.ndarray) -> None:
     """Raise ValueError unless the (m, d, d) stack of effects forms a POVM.
 
-    Each effect must be Hermitian and PSD within tol, and the effects must
-    sum to the identity within tol.
+    Each effect must be Hermitian and PSD within ATOL, and the effects must
+    sum to the identity within ATOL.
     """
     e = np.asarray(effects)
     if e.ndim != 3 or e.shape[0] == 0 or e.shape[1] != e.shape[2]:
         raise ValueError(f"expected a nonempty (m, d, d) stack of effects, got shape {e.shape}")
     herm = np.max(np.abs(e - e.conj().transpose(0, 2, 1)), axis=(1, 2))
     k = int(np.argmax(herm))
-    if herm[k] > tol:
-        raise ValueError(f"effect {k} is not Hermitian: max |m - m^dag| = {herm[k]:.3e} > {tol:.1e}")
+    if herm[k] > ATOL:
+        raise ValueError(f"effect {k} is not Hermitian: max |m - m^dag| = {herm[k]:.3e} > {ATOL:.1e}")
     lows = np.linalg.eigvalsh(e)[:, 0]
     k = int(np.argmin(lows))
-    if lows[k] < -tol:
+    if lows[k] < -ATOL:
         raise ValueError(f"effect {k} not PSD: smallest eigenvalue {lows[k]:.3e}")
     dev = float(np.max(np.abs(e.sum(axis=0) - np.eye(e.shape[1]))))
-    if dev > tol:
+    if dev > ATOL:
         raise ValueError(f"effects do not sum to identity: max deviation {dev:.3e}")
 
 

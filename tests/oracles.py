@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from steerwork.game import P_EPS, Assemblage, average_work
+from steerwork import game
+from steerwork.bounds import ground_state_population
+from steerwork.game import P_EPS, Assemblage, WorkReport
 from steerwork.mub import MubSet
 from steerwork.qmath import ATOL, check_hermitian, dagger, projector, random_pure_state
 
@@ -158,6 +160,20 @@ def work_term(rho_hat: np.ndarray, h: np.ndarray, beta: float) -> float:
     if residue > 1e-10:
         raise ValueError(f"non-Hermitian inputs: imaginary trace residue {residue:.3e}")
     return -t_state.real + t_thermal.real
+
+
+def average_work(asm: Assemblage, mub: MubSet, omega: float, beta: float) -> WorkReport:
+    """Exact-mode report of any assemblage: (1/n) sum_{a,x} p(a|x) W(rho_{a|x}, H_{a|x}).
+
+    Prices every round with the package's closed-form table F - P, which the
+    tests hold against the eigen-based ledger above; run_exact_quantum does
+    the same for the one assemblage of the quantum protocol.
+    """
+    table = game._work_table(asm, game._fidelities(asm, mub),
+                             ground_state_population(asm.d, omega, beta))
+    return game._report(asm.d, asm.n, omega, beta, mode="exact", shots=0, seed=None,
+                        average=omega * float(np.sum(asm.p * table) / asm.n), stderr=None,
+                        per_round=omega * table)
 
 
 # -- local-hidden-state models ----------------------------------------------

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    average_work,
     conditional_state,
     expectation,
     lhs_work,
@@ -21,11 +22,10 @@ from oracles import (
     random_lhs_model,
     random_unitary,
 )
-from steerwork.bounds import evaluate_bounds, ground_state_population, w_classical
+from steerwork.bounds import evaluate_bounds, ground_state_population
 from steerwork.cli import main as cli_main
 from steerwork.game import (
     GameConfig,
-    average_work,
     measure_assemblage,
     projective_povm,
     run_exact_quantum,
@@ -98,7 +98,7 @@ def test_criterion_3_lhs_never_beats_classical_bound():
                 beta = float(rng.choice(BETA_PALETTE))
                 model = random_lhs_model(d, n, rng)
                 work = lhs_work(model, mub, 1.0, beta)
-                cap = w_classical(d, n, 1.0, beta)
+                cap = evaluate_bounds(d, n, 1.0, beta).w_classical
                 assert work <= cap + 1e-8, (d, beta, work, cap)
         assert time.perf_counter() - start < 120.0
 
@@ -108,13 +108,13 @@ def test_criterion_4_qubit_tightness():
         target = 0.78867513  # (1 + 1/sqrt(3))/2 to the quoted digits
         mub = build_mub(2, 3)
         opt = optimize_single_state(mub, restarts=32, seed=0)
-        grid = bloch_grid_search(mub, resolution=500)
+        grid = bloch_grid_search(mub)
         assert abs(opt.objective - target) < 1e-6
         assert abs(grid.objective - target) < 1e-6
         for beta in [0.0, 0.5, 1.0, 2.0]:
-            achievable, bound, _ = lhs_sup_work(2, 3, 1.0, beta, restarts=32, seed=0)
-            assert abs(achievable - w_classical(2, 3, 1.0, beta)) < 1e-6
-            assert abs(bound - w_classical(2, 3, 1.0, beta)) < 1e-15
+            achievable, bound, _ = lhs_sup_work(build_mub(2, 3), 1.0, beta, restarts=32, seed=0)
+            assert abs(achievable - evaluate_bounds(2, 3, 1.0, beta).w_classical) < 1e-6
+            assert abs(bound - evaluate_bounds(2, 3, 1.0, beta).w_classical) < 1e-15
 
 
 def test_criterion_5_scaling_table(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from steerwork import bounds
-from steerwork.bounds import evaluate_bounds, ground_state_population, rastegin_bound, w_classical
+from steerwork.bounds import evaluate_bounds, ground_state_population, rastegin_bound
 
 # Frozen from a 50-digit mpmath evaluation of the closed forms (see
 # tests/test_acceptance.py for the oracle used at acceptance time).
@@ -37,17 +37,17 @@ class TestRasteginBound:
 
 class TestWClassical:
     def test_qubit_value(self):
-        assert abs(w_classical(2, 3, 1.0, 1.0) - WC_D2N3_B1) < 1e-12
+        assert abs(evaluate_bounds(2, 3, 1.0, 1.0).w_classical - WC_D2N3_B1) < 1e-12
 
     @pytest.mark.parametrize("d,n", [(2, 3), (3, 4), (5, 6), (7, 2)])
     def test_infinite_temperature(self, d, n):
         # beta = 0 collapses to omega*(d-1)/(d*sqrt(n))
         for omega in (1.0, 2.5):
             expect = omega * (d - 1) / (d * math.sqrt(n))
-            assert abs(w_classical(d, n, omega, 0.0) - expect) < 1e-12
+            assert abs(evaluate_bounds(d, n, omega, 0.0).w_classical - expect) < 1e-12
 
     def test_zero_temperature_negative(self):
-        val = w_classical(2, 3, 1.0, math.inf)
+        val = evaluate_bounds(2, 3, 1.0, math.inf).w_classical
         assert abs(val - (RASTEGIN_23 - 1.0)) < 1e-12
         assert val < 0
 
@@ -109,7 +109,8 @@ class TestOrderingAndScaling:
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 5.0, math.inf])
     def test_quantum_beats_classical(self, d, n, beta):
         for omega in (1.0, 2.0):
-            assert evaluate_bounds(d, n, omega, beta).w_quantum > w_classical(d, n, omega, beta)
+            bs = evaluate_bounds(d, n, omega, beta)
+            assert bs.w_quantum > bs.w_classical
 
     def test_xi_strictly_increasing_on_primes(self):
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23]
@@ -140,7 +141,8 @@ class TestGroundStatePopulation:
 class TestBoundSet:
     def test_bundle_matches_parts(self):
         bs = evaluate_bounds(3, 4, 1.0, 1.0)
-        assert bs.w_classical == w_classical(3, 4, 1.0, 1.0)
+        assert bs.w_classical == bounds.work_above_reset(
+            1.0, rastegin_bound(3, 4), ground_state_population(3, 1.0, 1.0))
         assert bs.w_quantum == 1.0 * (1.0 - ground_state_population(3, 1.0, 1.0))
         assert bs.xi == pytest.approx(XI_D3N4_B1, abs=1e-10)
         assert bs.rastegin == rastegin_bound(3, 4)
@@ -158,6 +160,11 @@ class TestBoundSet:
         bs = evaluate_bounds(2, 3, 1.0, math.inf)
         assert bs.xi is None
         assert bs.w_classical < 0
+
+    @pytest.mark.parametrize("omega", [math.inf, -math.inf, math.nan, 0.0])
+    def test_rejects_non_finite_or_nonpositive_omega(self, omega):
+        with pytest.raises(ValueError, match="energy gap must be finite and positive"):
+            evaluate_bounds(2, 3, omega, 1.0)
 
     def test_json_handles_infinity(self):
         js = evaluate_bounds(2, 3, 1.0, math.inf).to_json_dict()

@@ -112,6 +112,38 @@ class TestSimulate:
                              "--omega", "inf", "--shots", "10")
         assert code == 2
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**128), "1.5"])
+    def test_seed_rejected_by_parser(self, capsys, seed):
+        for shots in ["0", "10"]:
+            code, out, err = run_cli(capsys, "simulate", "--dim", "3", "--n-bases", "4",
+                                     "--shots", shots, "--seed", seed)
+            assert code == 2
+            assert out == ""
+            assert err.splitlines()[-1].startswith("steerwork simulate: error: argument --seed: ")
+        if seed == "-1":
+            assert err.splitlines()[-1] == (
+                "steerwork simulate: error: argument --seed: must be between 0 and "
+                f"{2**128 - 1}, got '-1'")
+
+    def test_seed_range_is_inclusive(self, capsys):
+        for seed in ["0", str(2**128 - 1)]:
+            code, _, _ = run_cli(capsys, "simulate", "--dim", "3", "--n-bases", "4",
+                                 "--shots", "10", "--seed", seed)
+            assert code == 0
+
+    @pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 2), (3, 4), (4, 2), (5, 6), (6, 2),
+                                     (7, 8)])
+    def test_subnormal_omega_exits_zero(self, capsys, d, n):
+        # 60 log-spaced omegas down to the smallest subnormal; 18 of these
+        # runs once failed the ceiling identity after scaling by omega
+        for k in range(60):
+            omega = 5e-324 * (2.3e-308 / 5e-324) ** (k / 59)
+            code, out, err = run_cli(capsys, "simulate", "--dim", str(d), "--n-bases", str(n),
+                                     "--omega", repr(omega), "--format", "json")
+            assert code == 0, (omega, err)
+            data = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-finite {c}"))
+            assert abs(data["average"] - data["w_quantum"]) <= 1e-10 * omega + math.ulp(0.0)
+
     def test_shots_cap_is_inclusive(self):
         args = build_parser().parse_args(["simulate", "--dim", "2", "--n-bases", "3",
                                           "--shots", "1000000000"])
@@ -216,6 +248,15 @@ class TestLhsOpt:
         assert code == 2
         assert out == ""
         assert f"argument {flag}: " in err  # rejected by the parser, before any work
+
+    def test_seed_rejected_by_parser(self, capsys):
+        code, out, err = run_cli(capsys, "lhs-opt", "--dim", "3", "--n-bases", "4",
+                                 "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "steerwork lhs-opt: error: argument --seed: must be between 0 and "
+            f"{2**128 - 1}, got '-1'")
 
     def test_budget_caps_are_inclusive(self):
         args = build_parser().parse_args(["lhs-opt", "--dim", "2", "--n-bases", "3",

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from steerwork import game
-from steerwork.bounds import evaluate_bounds, ground_state_population, w_classical
+from steerwork.bounds import evaluate_bounds, ground_state_population
 from oracles import (
+    average_work,
     assemblage_from_model,
     conditional_state,
     expectation,
@@ -25,7 +26,6 @@ from steerwork.game import (
     P_EPS,
     Assemblage,
     GameConfig,
-    average_work,
     maximally_entangled,
     measure_assemblage,
     projective_povm,
@@ -231,7 +231,7 @@ class TestAverageWork:
         z = math.e + d - 1
         expect = 1.0 / d - math.e / z
         assert abs(report.average - expect) < 1e-12
-        assert report.average <= w_classical(d, n, 1.0, 1.0)
+        assert report.average <= evaluate_bounds(d, n, 1.0, 1.0).w_classical
 
     def test_exact_average_identity(self):
         report = run_exact_quantum(GameConfig(d=3, n=4))
@@ -363,7 +363,7 @@ class TestRunExactQuantum:
 
     def test_report_embeds_bounds(self):
         report = run_exact_quantum(GameConfig(d=2, n=3))
-        assert report.w_classical == w_classical(2, 3, 1.0, 1.0)
+        assert report.w_classical == evaluate_bounds(2, 3, 1.0, 1.0).w_classical
         assert report.w_quantum == evaluate_bounds(2, 3, 1.0, 1.0).w_quantum
         assert report.xi == pytest.approx(4.66778023896922317, abs=1e-10)
 
@@ -418,7 +418,7 @@ class TestRunMonteCarlo:
         # a table that varies across rounds, so mean and stderr are not
         # rounding noise; the reference expands the histogram shot by shot
         table = np.linspace(-0.4, 0.9, 20).reshape(4, 5)
-        monkeypatch.setattr(game, "_work_table", lambda asm, mub, omega, beta: table)
+        monkeypatch.setattr(game, "_work_table", lambda asm, fid, pop: table)
         config = GameConfig(d=5, n=4, omega=3.0, shots=5000, seed=2)
         report = run_monte_carlo(config)
         counts = game._sample_rounds(game._quantum_protocol(config)[0].p, 5000, 2)
@@ -483,6 +483,7 @@ class TestGameConfig:
         dict(d=1, n=3), dict(d=2, n=1), dict(d=2, n=3, omega=0.0),
         dict(d=2, n=3, omega=-1.0), dict(d=2, n=3, beta=-0.1),
         dict(d=2, n=3, shots=-1), dict(d=2, n=3, beta=math.nan),
+        dict(d=2, n=3, omega=math.inf),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from steerwork.bounds import ground_state_population, rastegin_bound, w_classical
+from steerwork.bounds import evaluate_bounds, ground_state_population, rastegin_bound
 from oracles import (
     LhsModel,
     assemblage_from_model,
@@ -114,13 +114,13 @@ class TestLhsWork:
         model = deterministic_single_state_model(mub, psi)
         for beta in (0.0, 1.0, 2.0):
             got = lhs_work(model, mub, 1.0, beta)
-            assert abs(got - w_classical(2, 3, 1.0, beta)) < 1e-6
+            assert abs(got - evaluate_bounds(2, 3, 1.0, beta).w_classical) < 1e-6
 
     @pytest.mark.parametrize("d,n", [(2, 3), (3, 4), (5, 6)])
     def test_never_beats_classical_bound(self, d, n):
         mub = build_mub(d, n)
         rng = np.random.default_rng(d * 97)
-        wc = w_classical(d, n, 1.0, 1.0)
+        wc = evaluate_bounds(d, n, 1.0, 1.0).w_classical
         for _ in range(60):
             model = random_lhs_model(d, n, rng)
             assert lhs_work(model, mub, 1.0, 1.0) <= wc + 1e-8
@@ -170,24 +170,24 @@ class TestOptimizeSingleState:
 
 class TestBlochGridSearch:
     def test_three_bases_optimum(self):
-        result = bloch_grid_search(build_mub(2, 3), resolution=500)
+        result = bloch_grid_search(build_mub(2, 3))
         assert abs(result.objective - QUBIT_OPT_N3) < 1e-6
 
     def test_two_bases_optimum(self):
-        result = bloch_grid_search(build_mub(2, 2), resolution=500)
+        result = bloch_grid_search(build_mub(2, 2))
         assert abs(result.objective - QUBIT_OPT_N2) < 1e-6
 
     def test_grid_never_beats_optimizer(self):
         for n in (2, 3):
             mub = build_mub(2, n)
-            grid = bloch_grid_search(mub, resolution=200)
+            grid = bloch_grid_search(mub)
             opt = optimize_single_state(mub, restarts=16, seed=2)
             assert grid.objective <= opt.objective + 1e-6
 
     def test_oracle_agreement(self):
         for n in (2, 3):
             mub = build_mub(2, n)
-            grid = bloch_grid_search(mub, resolution=500)
+            grid = bloch_grid_search(mub)
             opt = optimize_single_state(mub, restarts=16, seed=5)
             assert abs(grid.objective - opt.objective) < 1e-5
 
@@ -199,12 +199,12 @@ class TestBlochGridSearch:
 class TestLhsSupWork:
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0])
     def test_qubit_tightness(self, beta):
-        achievable, bound, _ = lhs_sup_work(2, 3, 1.0, beta, restarts=16, seed=0)
+        achievable, bound, _ = lhs_sup_work(build_mub(2, 3), 1.0, beta, restarts=16, seed=0)
         assert abs(achievable - bound) < 1e-6
-        assert abs(bound - w_classical(2, 3, 1.0, beta)) < 1e-15
+        assert abs(bound - evaluate_bounds(2, 3, 1.0, beta).w_classical) < 1e-15
 
     def test_qutrit_gap_recorded(self):
-        achievable, bound, _ = lhs_sup_work(3, 4, 1.0, 1.0, restarts=32, seed=0)
+        achievable, bound, _ = lhs_sup_work(build_mub(3, 4), 1.0, 1.0, restarts=32, seed=0)
         assert achievable <= bound + 1e-8
         # the gap is a finding, not a failure: omega * (2/3 - cos^2(pi/5))
         assert bound - achievable == pytest.approx(2 / 3 - QUTRIT_ATTAINED_N4, abs=1e-6)
@@ -212,7 +212,7 @@ class TestLhsSupWork:
     def test_infinite_temperature_identity(self):
         mub = build_mub(2, 3)
         result = optimize_single_state(mub, restarts=16, seed=4)
-        achievable, _, _ = lhs_sup_work(2, 3, 1.0, 0.0, restarts=16, seed=4)
+        achievable, _, _ = lhs_sup_work(build_mub(2, 3), 1.0, 0.0, restarts=16, seed=4)
         assert abs(achievable - (result.objective - 0.5)) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -226,8 +226,7 @@ class TestLhsSupWork:
         states = [random_pure_state(d, rng) for _ in range(3)]
         for omega in (1e-3, 1.0, 1e300):
             for beta in (0.0, 0.37, 1.0, math.inf):
-                achievable, _, result = lhs_sup_work(d, n, omega, beta, restarts=4,
-                                                     seed=d, mub=mub)
+                achievable, _, result = lhs_sup_work(mub, omega, beta, restarts=4, seed=d)
                 pop = ground_state_population(d, omega, beta)
                 cases = [(result.best_state, achievable)]
                 cases += [(psi, omega * mub_overlap_objective(mub, psi) - omega * pop)
@@ -237,13 +236,20 @@ class TestLhsSupWork:
                     oracle = lhs_work(model, mub, omega, beta)
                     assert abs(closed - oracle) <= 1e-12 * omega, (omega, beta)
 
+    def test_bound_follows_the_mub_set(self):
+        # the ceiling's (d, n) come from the bases the optimizer searches
+        achievable, bound, result = lhs_sup_work(build_mub(5, 6), 1.0, 1.0, restarts=2)
+        assert bound == evaluate_bounds(5, 6, 1.0, 1.0).w_classical
+        assert result.best_state.shape == (5,)
+        assert achievable <= bound + 1e-10
+
     def test_memory_no_assemblage(self):
         # running the game on the one-state model built a (32, 31, 31, 31)
         # complex sigma stack at d = 31, about 15 MB; the closed form needs none
         mub = build_mub(31, 32)
         tracemalloc.start()
         try:
-            lhs_sup_work(31, 32, 1.0, 1.0, mub=mub)
+            lhs_sup_work(mub, 1.0, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

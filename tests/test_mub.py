@@ -51,6 +51,12 @@ class TestBuildMub:
         cross = np.abs(mub.bases[1].conj() @ mub.bases[0].T)
         assert np.allclose(cross, 0.5, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [4, 6, 9, 10, 12, 64])
+    def test_composite_pair_is_fourier(self, d):
+        j = np.arange(d)
+        dft = np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
+        assert np.allclose(build_mub(d, 2).bases[1], dft, rtol=0, atol=1e-14)
+
     def test_qutrit_full_family(self):
         worst = exhaustive_overlap_check(build_mub(3, 4), 1e-12)
         assert worst < 1e-12
