@@ -27,13 +27,13 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
-def check_hermitian(m: np.ndarray, tol: float = ATOL) -> None:
-    """Raise ValueError unless m is square and Hermitian within tol."""
+def check_hermitian(m: np.ndarray) -> None:
+    """Raise ValueError unless m is square and Hermitian within ATOL."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     dev = float(np.max(np.abs(m - dagger(m))))
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {dev:.3e} > {tol:.1e}")
+    if dev > ATOL:
+        raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {dev:.3e} > {ATOL:.1e}")
 
 
 def normalize(vec: np.ndarray) -> np.ndarray:

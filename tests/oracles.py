@@ -61,19 +61,27 @@ def partial_trace_A(rho: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return np.einsum("ikil->kl", r4)
 
 
-def hermitian_eigensystem(m: np.ndarray, tol: float = ATOL) -> tuple[np.ndarray, np.ndarray]:
+def check_constructed_hermitian(m: np.ndarray, tol: float = ATOL_CONSTRUCT) -> None:
+    """check_hermitian, then Hermiticity within the construction tier tol."""
+    check_hermitian(m)
+    dev = float(np.max(np.abs(m - dagger(m))))
+    if dev > tol:
+        raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {dev:.3e} > {tol:.1e}")
+
+
+def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (w, v) with eigenvalues w ascending and orthonormal eigenvectors
     in the columns of v, so that m = v @ diag(w) @ v^dag.
     """
-    check_hermitian(m, tol)
+    check_constructed_hermitian(m)
     return np.linalg.eigh(np.asarray(m, dtype=complex))
 
 
-def min_eigenvalue(m: np.ndarray, tol: float = ATOL) -> float:
+def min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    w, _ = hermitian_eigensystem(m, tol)
+    w, _ = hermitian_eigensystem(m)
     return float(w[0])
 
 
@@ -84,7 +92,7 @@ def check_density_matrix(rho: np.ndarray, tol_construct: float = ATOL_CONSTRUCT,
     Hermiticity and trace are held to tol_construct; the smallest eigenvalue
     may dip to -tol_psd (rounding slack).
     """
-    check_hermitian(rho, tol_construct)
+    check_constructed_hermitian(rho, tol_construct)
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > tol_construct:
         raise ValueError(f"trace is {tr}, expected 1 within {tol_construct:.1e}")
@@ -107,6 +115,28 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(g)
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
     return q * phases
+
+
+# -- mutually unbiased bases -----------------------------------------------
+
+def mub_first_worst_pair(mub: MubSet) -> tuple[float, tuple[int, int, int, int]]:
+    """Worst overlap deviation of a MubSet and its first pair, from the full Gram matrix.
+
+    Expected |<phi_x^a|phi_y^b>| is delta_{a,b} within a basis and 1/sqrt(d)
+    across bases. Pairs with y >= x are scanned in (x, a, y, b) order and the
+    first worst one is returned as (max_deviation, (x, a, y, b)); a NaN
+    counts above every number.
+    """
+    d, n = mub.d, mub.n
+    flat = mub.bases.reshape(n * d, d)
+    expect = np.full((n * d, n * d), 1.0 / np.sqrt(d))
+    for x in range(n):
+        expect[x * d:(x + 1) * d, x * d:(x + 1) * d] = np.eye(d)
+    dev = np.abs(np.abs(flat.conj() @ flat.T) - expect)
+    basis = np.arange(n * d) // d
+    dev[basis[:, np.newaxis] > basis[np.newaxis, :]] = -np.inf
+    row, col = divmod(int(np.argmax(dev)), n * d)
+    return float(dev[row, col]), (row // d, row % d, col // d, col % d)
 
 
 # -- one round of the game, by diagonalization ------------------------------

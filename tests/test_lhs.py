@@ -16,6 +16,7 @@ from oracles import (
     random_unitary,
     tensor_product,
 )
+from steerwork import lhs
 from steerwork.game import measure_assemblage, projective_povm
 from steerwork.lhs import (
     bloch_grid_search,
@@ -194,6 +195,26 @@ class TestBlochGridSearch:
     def test_rejects_higher_dimensions(self):
         with pytest.raises(ValueError, match="d = 2"):
             bloch_grid_search(build_mub(3, 2))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tiles_do_not_change_the_result(self, n, monkeypatch):
+        mub = build_mub(2, n)
+        tiled = bloch_grid_search(mub)
+        monkeypatch.setattr(lhs, "BLOCH_TILE", lhs.BLOCH_RESOLUTION)
+        whole = bloch_grid_search(mub)
+        assert tiled.objective == whole.objective
+        assert tiled.best_state.tobytes() == whole.best_state.tobytes()
+
+    def test_memory_grid_tiles(self):
+        # the whole 500 x 500 grid at once peaked at about 46 MB for n = 3
+        mub = build_mub(2, 3)
+        tracemalloc.start()
+        try:
+            bloch_grid_search(mub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"peak allocation {peak / 2**20:.2f} MB"
 
 
 class TestLhsSupWork:

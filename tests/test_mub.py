@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import overlap2
+from oracles import mub_first_worst_pair, overlap2
 from steerwork.mub import (
+    GRAM_TILE,
     MubConstructionError,
     SUPPORTED_FAMILIES,
     MubSet,
@@ -80,6 +81,16 @@ class TestBuildMub:
             build_mub(d, n)
         assert str(err.value) == (
             f"(d={d}, n={n}) not available; supported families: {SUPPORTED_FAMILIES}")
+
+    def test_memory_bases_only(self):
+        # the bases are written in place; stacking per-basis copies took 2x
+        tracemalloc.start()
+        try:
+            mub = build_mub(61, 62)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * mub.bases.nbytes, f"peak {peak / mub.bases.nbytes:.2f} x the bases"
 
     def test_error_names_supported_families(self):
         with pytest.raises(MubConstructionError, match="odd prime"):
@@ -161,8 +172,43 @@ class TestVerifyMub:
         expect = (1.0 if a == b else 0.0) if x == y else 1.0 / np.sqrt(d)
         assert abs(abs(ov - expect) - report.max_deviation) <= 1e-15
 
+    @pytest.mark.parametrize("d,n", [(d, n) for d in range(2, 14) for n in range(2, d + 2)
+                                     if supported_family(d, n)])
+    def test_matches_full_gram_oracle(self, d, n):
+        mub = build_mub(d, n)
+        report = verify_mub(mub)
+        oracle_max, _ = mub_first_worst_pair(mub)
+        # products computed in another blocking may differ in the last bit, so
+        # the worst pair is checked to attain the maximum up to rounding
+        assert abs(report.max_deviation - oracle_max) <= 1e-15
+        x, a, y, b = report.worst_pair
+        assert y >= x
+        ov = abs(np.vdot(mub.bases[x, a], mub.bases[y, b]))
+        expect = (1.0 if a == b else 0.0) if x == y else 1.0 / np.sqrt(d)
+        assert abs(abs(ov - expect) - oracle_max) <= 1e-15
+
+    @pytest.mark.parametrize("x", [0, 1, 3])
+    def test_first_worst_pair_across_tiles(self, x):
+        # Basis x is made computational, so block row x holds the components
+        # of the bases y >= x exactly. Zeroing component 4 of a vector in the
+        # row's first tile and component 1 of one in its second tile plants
+        # two deviations of exactly 1/sqrt(d); every other one is at most
+        # about 1/d. The first in (x, a, y, b) order lies in the later tile.
+        y_early, y_late = x + 1, x + GRAM_TILE
+        d = min(p for p in ODD_PRIMES if p + 1 > y_late)
+        bases = build_mub(d, d + 1).bases.copy()
+        bases[[0, x]] = bases[[x, 0]]
+        bases[y_early, 2, 4] = 0.0
+        bases[y_late, 3, 1] = 0.0
+        mub = MubSet(d=d, n=d + 1, bases=bases)
+        report = verify_mub(mub)
+        assert report.max_deviation == 1.0 / np.sqrt(d)
+        assert report.worst_pair == (x, 1, y_late, 3)
+        assert (report.max_deviation, report.worst_pair) == mub_first_worst_pair(mub)
+
     def test_memory_one_block_row(self):
-        # the full (nd)^2 Gram matrix at d = 61 would take about 440 MB
+        # the full (nd)^2 Gram matrix at d = 61 would take about 440 MB and one
+        # d x nd block row about 7 MB; a tile of GRAM_TILE bases takes 0.5 MB
         mub = build_mub(61, 62)
         tracemalloc.start()
         try:
@@ -171,7 +217,7 @@ class TestVerifyMub:
         finally:
             tracemalloc.stop()
         assert report.passed
-        assert peak < 32 * 2**20, f"peak allocation {peak / 2**20:.1f} MB"
+        assert peak < 2**20, f"peak allocation {peak / 2**20:.2f} MB"
 
     def test_tolerance_semantics(self):
         # rounding noise sits around 1e-16, so an absurdly tight tolerance fails

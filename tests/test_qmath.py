@@ -217,6 +217,14 @@ class TestCheckers:
         with pytest.raises(ValueError, match="eigenvalue"):
             check_density_matrix(np.diag([1.5, -0.5]).astype(complex))
 
+    def test_construction_tier_hermiticity(self):
+        # the oracles hold Hermiticity to 1e-12, tighter than the package's ATOL
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        rho[0, 1] = 1e-11
+        for check in (check_density_matrix, hermitian_eigensystem, min_eigenvalue):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                check(rho)
+
     def test_povm_ok(self):
         rng = np.random.default_rng(8)
         u = random_unitary(3, rng)
