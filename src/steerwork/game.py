@@ -10,11 +10,16 @@ figure of merit is the average over uniform x and the outcome statistics.
 H has rank 1, so the work of a round is omega (F - P), with F the fidelity
 of Bob's state with |phi_x^a> and P the ground-level Gibbs population; the
 pipeline evaluates that closed form for all (a, x) at once, in units of
-omega, and never builds a Hamiltonian or a Gibbs state. A protocol run
-checks F = 1 on the same table it prices, and every check here uses the
-one tolerance qmath.ATOL (in units of omega for the work). The general
-per-round ledger by diagonalization lives in tests/oracles.py, where the
-tests compare the closed form against it.
+omega, and never builds a Hamiltonian or a Gibbs state.
+
+There is one protocol: the maximally entangled state measured in the
+conjugated bases, which steers Bob to sigma_{a|x} = |phi_x^a><phi_x^a|/d.
+_quantum_protocol computes its tables p[x, a] and F[x, a], and
+_check_protocol asserts the identities they obey on exactly the tables
+that are then priced, each at the one tolerance qmath.ATOL (in units of
+omega for the work). The general path for any state and POVM stack, and
+the per-round ledger by diagonalization, live in tests/oracles.py, where
+the tests compare the production tables against them.
 
 Exact mode sums over (a, x); Monte Carlo mode samples rounds operationally
 with a seeded counter-based generator, a fixed-size chunk of shots at a
@@ -31,12 +36,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import bounds as bounds_mod
-from .mub import MubSet, build_mub
-from .qmath import ATOL, check_povm, projector
-
-# Outcomes with p(a|x) below this contribute zero work: their normalized
-# post-measurement state is undefined and the unnormalized summand vanishes.
-P_EPS = 1e-14
+from .mub import build_mub
+from .qmath import ATOL
 
 # Monte Carlo shots drawn per chunk; memory is O(CHUNK) whatever the shot count.
 CHUNK = 1 << 16
@@ -59,45 +60,6 @@ class GameConfig:
             raise ValueError(f"need at least two settings, got n={self.n}")
         if self.shots < 0:
             raise ValueError(f"shot count must be >= 0, got shots={self.shots}")
-
-
-@dataclass
-class Assemblage:
-    """Bob's unnormalized conditional states sigma[x, a] with p[x, a] = Tr(sigma).
-
-    d is Bob's dimension, n the number of settings; sigma has shape
-    (n, outcomes, d, d). Construction validates the defining identities:
-    traces match p, outcome distributions normalize per setting, and the
-    reduced state sum_a sigma[x, a] is setting-independent (no signaling).
-    """
-
-    d: int
-    n: int
-    sigma: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        n, m, db, db2 = self.sigma.shape
-        if db != db2 or db != self.d or n != self.n or self.p.shape != (n, m):
-            raise ValueError(
-                f"shape mismatch: sigma {self.sigma.shape}, p {self.p.shape}, "
-                f"d={self.d}, n={self.n}"
-            )
-        traces = np.einsum("xaii->xa", self.sigma).real
-        if np.max(np.abs(traces - self.p)) > ATOL:
-            raise ValueError("p(a|x) does not match Tr(sigma_{a|x})")
-        if np.min(self.p) < -1e-12:
-            raise ValueError(f"negative outcome probability: {np.min(self.p):.3e}")
-        if np.max(np.abs(self.p.sum(axis=1) - 1.0)) > ATOL:
-            raise ValueError("outcome probabilities do not sum to 1 per setting")
-        reduced = self.sigma.sum(axis=1)
-        dev = np.max(np.abs(reduced - reduced[0]))
-        if dev > ATOL:
-            raise ValueError(f"assemblage signals: reduced states differ by {dev:.3e}")
-
-    @property
-    def outcomes(self) -> int:
-        return self.sigma.shape[1]
 
 
 @dataclass
@@ -124,71 +86,6 @@ class WorkReport:
                 "per_round": self.per_round.tolist()}
 
 
-def maximally_entangled(d: int) -> np.ndarray:
-    """Density matrix of d^{-1/2} sum_i |ii> on C^d x C^d."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got d={d}")
-    psi = np.zeros(d * d, dtype=complex)
-    psi[:: d + 1] = 1.0 / math.sqrt(d)
-    return projector(psi)
-
-
-def projective_povm(basis: np.ndarray) -> np.ndarray:
-    """Rank-1 projectors onto the rows of a (..., d, d) stack of bases."""
-    b = np.asarray(basis, dtype=complex)
-    return b[..., :, None] * b.conj()[..., None, :]
-
-
-def measure_assemblage(rho_ab: np.ndarray, povms: np.ndarray) -> Assemblage:
-    """Bob's assemblage from measuring rho_AB with one POVM per setting.
-
-    povms holds the effects M_x^a with shape (n, m, dA, dA); nested lists
-    are stacked. sigma_{a|x} = Tr_A[(M_x^a (x) I_B) rho_AB] for every
-    (x, a) in one contraction on the A indices; p(a|x) is its trace.
-    """
-    dim = rho_ab.shape[0]
-    if rho_ab.ndim != 2 or rho_ab.shape[1] != dim:
-        raise ValueError(f"expected a square matrix, got shape {rho_ab.shape}")
-    effects = np.asarray(povms)
-    if effects.ndim != 4 or effects.shape[0] == 0:
-        raise ValueError(f"expected effects of shape (n, m, dA, dA), got {effects.shape}")
-    n, _, da, _ = effects.shape
-    if dim % da != 0:
-        raise ValueError(f"POVM dimension {da} does not divide state dimension {dim}")
-    db = dim // da
-    for setting in effects:
-        check_povm(setting)
-
-    # Tr_A[(M (x) I) rho] index by index: sum_{i,j} M_ij rho[(j,k),(i,l)]
-    sigma = np.einsum("xaij,jkil->xakl", effects, rho_ab.reshape(da, db, da, db))
-    p = np.einsum("xaii->xa", sigma).real
-    return Assemblage(d=db, n=n, sigma=sigma, p=p)
-
-
-def _fidelities(asm: Assemblage, mub: MubSet) -> np.ndarray:
-    """F[x, a] = <phi_x^a| sigma_{a|x} |phi_x^a> / p(a|x); 0 where p < P_EPS.
-
-    Raises ValueError when some Im F exceeds ATOL, which Hermitian
-    conditional states cannot produce.
-    """
-    if asm.d != mub.d or asm.n != mub.n or asm.outcomes != mub.d:
-        raise ValueError(
-            f"assemblage ({asm.d}, {asm.n}, {asm.outcomes} outcomes) does not "
-            f"match MUB set ({mub.d}, {mub.n})"
-        )
-    overlap = np.einsum("xaj,xajk,xak->xa", mub.bases.conj(), asm.sigma, mub.bases)
-    fid = np.divide(overlap, asm.p, out=np.zeros_like(overlap), where=asm.p >= P_EPS)
-    residue = float(np.max(np.abs(fid.imag)))
-    if residue > ATOL:
-        raise ValueError(f"non-Hermitian inputs: imaginary trace residue {residue:.3e}")
-    return fid.real
-
-
-def _work_table(asm: Assemblage, fid: np.ndarray, pop: float) -> np.ndarray:
-    """Per-round works F - P in units of omega; zero-probability rounds are 0."""
-    return np.where(asm.p >= P_EPS, fid - pop, 0.0)
-
-
 def _report(d, n, omega, beta, *, mode, shots, seed, average, stderr, per_round) -> WorkReport:
     bs = bounds_mod.evaluate_bounds(d, n, omega, beta)
     return WorkReport(d=d, n=n, omega=omega, beta=beta, mode=mode, shots=shots,
@@ -196,31 +93,59 @@ def _report(d, n, omega, beta, *, mode, shots, seed, average, stderr, per_round)
                       w_quantum=bs.w_quantum, xi=bs.xi, per_round=per_round)
 
 
-def _quantum_protocol(config: GameConfig) -> tuple[Assemblage, np.ndarray]:
+def _check_protocol(bases: np.ndarray, p: np.ndarray, fid: np.ndarray,
+                    reduced: np.ndarray) -> None:
+    """Assert the protocol's identities on its tables, naming the worst round.
+
+    bases[x] holds the vectors of setting x as rows, p[x, a] the outcome
+    probabilities, fid[x, a] the complex fidelities and reduced[x] Bob's
+    reduced state sum_a sigma_{a|x}. Each identity is a theorem, so a
+    deviation beyond ATOL (or a NaN) is an implementation bug and raises
+    RuntimeError at the first worst setting or round: every setting is
+    complete (B_x^dag B_x = I), each outcome law sums to 1, the reduced
+    state does not depend on x (no signalling), p = 1/d, Im F = 0, F = 1.
+    """
+    d = p.shape[1]
+    checks = [
+        (np.abs(bases.conj().transpose(0, 2, 1) @ bases - np.eye(d)).max(axis=(1, 2)),
+         "setting {0} is incomplete: max |B^dag B - I| = {dev:.3e}"),
+        (np.abs(p.sum(axis=1) - 1.0),
+         "outcome probabilities of setting {0} miss 1 by {dev:.3e}"),
+        (np.abs(reduced - reduced[0]).max(axis=(1, 2)),
+         "assemblage signals: reduced state of setting {0} differs from setting 0 by {dev:.3e}"),
+        (np.abs(p - 1.0 / d), "p({1}|{0}) = {p!r}, expected 1/d"),
+        (np.abs(fid.imag), "conditional state ({1}|{0}) has |Im F| = {dev:.3e}"),
+        (np.abs(fid.real - 1.0),
+         "conditional state ({1}|{0}) has fidelity {f!r} with its basis projector"),
+    ]
+    for dev, message in checks:
+        k = np.unravel_index(np.argmax(dev), dev.shape)
+        if not dev[k] <= ATOL:
+            raise RuntimeError("protocol identity broken: "
+                               + message.format(*k, dev=dev[k], p=p[k], f=fid[k].real))
+
+
+def _quantum_protocol(config: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     """Maximally entangled state measured in the conjugated bases.
 
-    Returns the assemblage and its fidelity table F. The conditional states
-    are exactly the basis projectors with flat outcome statistics; both
-    identities are enforced here because they are theorems, so a violation
-    means an implementation bug.
+    Returns p[x, a] and the fidelity table F[x, a] of Bob's conditional
+    states with |phi_x^a>, after _check_protocol has passed them. Alice's
+    effect for (x, a) is the projector onto conj(phi_x^a); the general
+    path for any state and POVM stack is the test oracle in tests/oracles.py.
     """
-    mub = build_mub(config.d, config.n)
-    asm = measure_assemblage(maximally_entangled(config.d), projective_povm(mub.bases.conj()))
-
-    p_dev = np.abs(asm.p - 1.0 / config.d)
-    x, a = np.unravel_index(np.argmax(p_dev), p_dev.shape)
-    if p_dev[x, a] > ATOL:
-        raise RuntimeError(
-            f"protocol identity broken: p({a}|{x}) = {asm.p[x, a]!r}, expected 1/d"
-        )
-    fid = _fidelities(asm, mub)
-    x, a = np.unravel_index(np.argmax(np.abs(fid - 1.0)), fid.shape)
-    if abs(fid[x, a] - 1.0) > ATOL:
-        raise RuntimeError(
-            f"protocol identity broken: conditional state ({a}|{x}) has "
-            f"fidelity {fid[x, a]!r} with its basis projector"
-        )
-    return asm, fid
+    d = config.d
+    bases = build_mub(d, config.n).bases
+    psi = np.zeros(d * d, dtype=complex)
+    psi[:: d + 1] = 1.0 / math.sqrt(d)
+    rho = np.outer(psi, psi.conj()).reshape(d, d, d, d)
+    effects = bases.conj()[..., :, None] * bases[..., None, :]
+    # Tr_A[(M (x) I) rho] index by index: sum_{i,j} M_ij rho[(j,k),(i,l)]
+    sigma = np.einsum("xaij,jkil->xakl", effects, rho)
+    del effects, rho  # so that the fidelity contraction adds nothing to the peak
+    p = np.einsum("xaii->xa", sigma).real
+    fid = np.einsum("xaj,xajk,xak->xa", bases.conj(), sigma, bases) / p
+    _check_protocol(bases, p, fid, sigma.sum(axis=1))
+    return p, fid.real
 
 
 def run_exact_quantum(config: GameConfig) -> WorkReport:
@@ -231,11 +156,11 @@ def run_exact_quantum(config: GameConfig) -> WorkReport:
     checked before scaling by omega, so a subnormal omega cannot round it
     apart.
     """
-    asm, fid = _quantum_protocol(config)
+    p, fid = _quantum_protocol(config)
     omega, beta = config.omega, config.beta
     pop = bounds_mod.ground_state_population(config.d, omega, beta)
-    table = _work_table(asm, fid, pop)
-    mean = float(np.sum(asm.p * table) / asm.n)
+    table = fid - pop
+    mean = float(np.sum(p * table) / config.n)
     if abs(mean - (1.0 - pop)) > ATOL:
         raise RuntimeError(
             f"protocol average {mean!r} deviates from the quantum ceiling "
@@ -280,12 +205,11 @@ def run_monte_carlo(config: GameConfig) -> WorkReport:
     """
     if config.shots < 1:
         raise ValueError(f"Monte Carlo needs shots >= 1, got {config.shots}")
-    asm, fid = _quantum_protocol(config)
-    pop = bounds_mod.ground_state_population(config.d, config.omega, config.beta)
-    table = _work_table(asm, fid, pop)
+    p, fid = _quantum_protocol(config)
+    table = fid - bounds_mod.ground_state_population(config.d, config.omega, config.beta)
 
     shots = config.shots
-    counts = _sample_rounds(asm.p, shots, config.seed)
+    counts = _sample_rounds(p, shots, config.seed)
     mean = float(np.sum(counts * table) / shots)
     var = float(np.sum(counts * (table - mean) ** 2) / (shots - 1)) if shots > 1 else 0.0
     omega = config.omega

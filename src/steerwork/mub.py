@@ -33,6 +33,11 @@ from .qmath import ATOL
 # each product is bit-identical to the one of the untiled block row.
 GRAM_TILE = 4
 
+# The primes up to 41 as Miller-Rabin witnesses decide every d below
+# MR_EXACT_BELOW (Sorenson and Webster, 2017).
+MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
 SUPPORTED_FAMILIES = (
     "(any d >= 2, n = 2), (d = 2, n <= 3), (odd prime d, n <= d + 1)"
 )
@@ -43,14 +48,31 @@ class MubConstructionError(ValueError):
 
 
 def is_prime(d: int) -> bool:
-    """Deterministic trial division; fine for the d <= 64 regime."""
+    """Deterministic Miller-Rabin test on the witnesses MR_WITNESSES.
+
+    Exact below MR_EXACT_BELOW; a larger d raises ValueError, since no
+    witness set here decides it.
+    """
     if d < 2:
         return False
-    k = 2
-    while k * k <= d:
-        if d % k == 0:
+    if d >= MR_EXACT_BELOW:
+        raise ValueError(f"primality of d={d} is not decided at or above {MR_EXACT_BELOW:.2e}")
+    for w in MR_WITNESSES:
+        if d % w == 0:
+            return d == w
+    odd, twos = d - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for w in MR_WITNESSES:
+        y = pow(w, odd, d)
+        if y in (1, d - 1):
+            continue
+        for _ in range(twos - 1):
+            y = y * y % d
+            if y == d - 1:
+                break
+        else:
             return False
-        k += 1
     return True
 
 

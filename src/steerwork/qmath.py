@@ -1,10 +1,10 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
 Everything here operates on plain numpy arrays (complex128): the Hermiticity
-and POVM checks, the rank-1 projector, Haar-random pure states and the
-principal eigenvector that the LHS optimizer steps to. Target sizes are
-d <= 64 for a single system and d^2 <= 4096 for a bipartite one, so dense
-storage and LAPACK eigensolvers are the right tool throughout. Kronecker
+check, Haar-random pure states and the principal eigenvector that the LHS
+optimizer steps to. Target sizes are d <= 64 for a single system and
+d^2 <= 4096 for a bipartite one, so dense storage and LAPACK eigensolvers
+are the right tool throughout. Projectors, the POVM check, Kronecker
 products, partial traces and the other general-purpose references live in
 tests/oracles.py, next to the tests that compare against them.
 
@@ -17,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 # The one absolute slack of the package's numerical checks: Hermiticity,
-# positivity, POVM completeness, assemblage and protocol identities (the
-# latter in units of omega) and MUB overlaps.
+# the protocol identities (the work in units of omega) and MUB overlaps.
 ATOL = 1e-10
 
 
@@ -44,12 +43,6 @@ def normalize(vec: np.ndarray) -> np.ndarray:
     return np.asarray(vec, dtype=complex) / nrm
 
 
-def projector(psi: np.ndarray) -> np.ndarray:
-    """Rank-1 projector |psi><psi|."""
-    v = np.asarray(psi, dtype=complex)
-    return np.outer(v, v.conj())
-
-
 def principal_eigenvector(m: np.ndarray) -> np.ndarray:
     """Normalized eigenvector of the largest eigenvalue of a Hermitian matrix.
 
@@ -61,28 +54,6 @@ def principal_eigenvector(m: np.ndarray) -> np.ndarray:
     check_hermitian(m)
     w, v = np.linalg.eigh(np.asarray(m, dtype=complex))
     return v[:, int(np.argmax(w))].copy()
-
-
-def check_povm(effects: np.ndarray) -> None:
-    """Raise ValueError unless the (m, d, d) stack of effects forms a POVM.
-
-    Each effect must be Hermitian and PSD within ATOL, and the effects must
-    sum to the identity within ATOL.
-    """
-    e = np.asarray(effects)
-    if e.ndim != 3 or e.shape[0] == 0 or e.shape[1] != e.shape[2]:
-        raise ValueError(f"expected a nonempty (m, d, d) stack of effects, got shape {e.shape}")
-    herm = np.max(np.abs(e - e.conj().transpose(0, 2, 1)), axis=(1, 2))
-    k = int(np.argmax(herm))
-    if herm[k] > ATOL:
-        raise ValueError(f"effect {k} is not Hermitian: max |m - m^dag| = {herm[k]:.3e} > {ATOL:.1e}")
-    lows = np.linalg.eigvalsh(e)[:, 0]
-    k = int(np.argmin(lows))
-    if lows[k] < -ATOL:
-        raise ValueError(f"effect {k} not PSD: smallest eigenvalue {lows[k]:.3e}")
-    dev = float(np.max(np.abs(e.sum(axis=0) - np.eye(e.shape[1]))))
-    if dev > ATOL:
-        raise ValueError(f"effects do not sum to identity: max deviation {dev:.3e}")
 
 
 def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:

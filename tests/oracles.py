@@ -4,6 +4,13 @@ Nothing here runs on the production path. Each function evaluates a quantity
 the general way, with Kronecker products, partial traces, diagonalization or
 explicit hidden-state models, so that the closed forms and contractions in
 steerwork can be checked against it.
+
+The dense measurement layer is the general form of the protocol in
+steerwork.game: any bipartite state, any stack of POVMs, the Assemblage
+carrier that validates its identities on construction, and the work table
+F - P with zero-probability rounds set to 0. game._quantum_protocol prices
+the one assemblage of the saturating protocol with the same contraction,
+and the tests hold its tables equal to this path bit for bit.
 """
 
 from __future__ import annotations
@@ -15,11 +22,15 @@ import numpy as np
 
 from steerwork import game
 from steerwork.bounds import ground_state_population
-from steerwork.game import P_EPS, Assemblage, WorkReport
+from steerwork.game import WorkReport
 from steerwork.mub import MubSet
-from steerwork.qmath import ATOL, check_hermitian, dagger, projector, random_pure_state
+from steerwork.qmath import ATOL, check_hermitian, dagger, random_pure_state
 
 ATOL_CONSTRUCT = 1e-12
+
+# Outcomes with p(a|x) below this contribute zero work: their normalized
+# post-measurement state is undefined and the unnormalized summand vanishes.
+P_EPS = 1e-14
 
 
 # -- dense linear algebra ---------------------------------------------------
@@ -32,6 +43,12 @@ def overlap2(u: np.ndarray, v: np.ndarray) -> float:
 def expectation(rho: np.ndarray, psi: np.ndarray) -> float:
     """<psi| rho |psi> for Hermitian rho (imaginary part discarded)."""
     return float(np.vdot(psi, rho @ psi).real)
+
+
+def projector(psi: np.ndarray) -> np.ndarray:
+    """Rank-1 projector |psi><psi|."""
+    v = np.asarray(psi, dtype=complex)
+    return np.outer(v, v.conj())
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -83,6 +100,28 @@ def min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     w, _ = hermitian_eigensystem(m)
     return float(w[0])
+
+
+def check_povm(effects: np.ndarray) -> None:
+    """Raise ValueError unless the (m, d, d) stack of effects forms a POVM.
+
+    Each effect must be Hermitian and PSD within ATOL, and the effects must
+    sum to the identity within ATOL.
+    """
+    e = np.asarray(effects)
+    if e.ndim != 3 or e.shape[0] == 0 or e.shape[1] != e.shape[2]:
+        raise ValueError(f"expected a nonempty (m, d, d) stack of effects, got shape {e.shape}")
+    herm = np.max(np.abs(e - e.conj().transpose(0, 2, 1)), axis=(1, 2))
+    k = int(np.argmax(herm))
+    if herm[k] > ATOL:
+        raise ValueError(f"effect {k} is not Hermitian: max |m - m^dag| = {herm[k]:.3e} > {ATOL:.1e}")
+    lows = np.linalg.eigvalsh(e)[:, 0]
+    k = int(np.argmin(lows))
+    if lows[k] < -ATOL:
+        raise ValueError(f"effect {k} not PSD: smallest eigenvalue {lows[k]:.3e}")
+    dev = float(np.max(np.abs(e.sum(axis=0) - np.eye(e.shape[1]))))
+    if dev > ATOL:
+        raise ValueError(f"effects do not sum to identity: max deviation {dev:.3e}")
 
 
 def check_density_matrix(rho: np.ndarray, tol_construct: float = ATOL_CONSTRUCT,
@@ -137,6 +176,115 @@ def mub_first_worst_pair(mub: MubSet) -> tuple[float, tuple[int, int, int, int]]
     dev[basis[:, np.newaxis] > basis[np.newaxis, :]] = -np.inf
     row, col = divmod(int(np.argmax(dev)), n * d)
     return float(dev[row, col]), (row // d, row % d, col // d, col % d)
+
+
+# -- the dense measurement layer --------------------------------------------
+
+@dataclass
+class Assemblage:
+    """Bob's unnormalized conditional states sigma[x, a] with p[x, a] = Tr(sigma).
+
+    d is Bob's dimension, n the number of settings; sigma has shape
+    (n, outcomes, d, d). Construction validates the defining identities:
+    traces match p, outcome distributions normalize per setting, and the
+    reduced state sum_a sigma[x, a] is setting-independent (no signaling).
+    """
+
+    d: int
+    n: int
+    sigma: np.ndarray
+    p: np.ndarray
+
+    def __post_init__(self):
+        n, m, db, db2 = self.sigma.shape
+        if db != db2 or db != self.d or n != self.n or self.p.shape != (n, m):
+            raise ValueError(
+                f"shape mismatch: sigma {self.sigma.shape}, p {self.p.shape}, "
+                f"d={self.d}, n={self.n}"
+            )
+        traces = np.einsum("xaii->xa", self.sigma).real
+        if np.max(np.abs(traces - self.p)) > ATOL:
+            raise ValueError("p(a|x) does not match Tr(sigma_{a|x})")
+        if np.min(self.p) < -1e-12:
+            raise ValueError(f"negative outcome probability: {np.min(self.p):.3e}")
+        if np.max(np.abs(self.p.sum(axis=1) - 1.0)) > ATOL:
+            raise ValueError("outcome probabilities do not sum to 1 per setting")
+        reduced = self.sigma.sum(axis=1)
+        dev = np.max(np.abs(reduced - reduced[0]))
+        if dev > ATOL:
+            raise ValueError(f"assemblage signals: reduced states differ by {dev:.3e}")
+
+    @property
+    def outcomes(self) -> int:
+        return self.sigma.shape[1]
+
+
+def maximally_entangled(d: int) -> np.ndarray:
+    """Density matrix of d^{-1/2} sum_i |ii> on C^d x C^d."""
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got d={d}")
+    psi = np.zeros(d * d, dtype=complex)
+    psi[:: d + 1] = 1.0 / math.sqrt(d)
+    return projector(psi)
+
+
+def projective_povm(basis: np.ndarray) -> np.ndarray:
+    """Rank-1 projectors onto the rows of a (..., d, d) stack of bases."""
+    b = np.asarray(basis, dtype=complex)
+    return b[..., :, None] * b.conj()[..., None, :]
+
+
+def measure_assemblage(rho_ab: np.ndarray, povms: np.ndarray) -> Assemblage:
+    """Bob's assemblage from measuring rho_AB with one POVM per setting.
+
+    povms holds the effects M_x^a with shape (n, m, dA, dA); nested lists
+    are stacked. sigma_{a|x} = Tr_A[(M_x^a (x) I_B) rho_AB] for every
+    (x, a) in the contraction that game._quantum_protocol uses.
+    """
+    dim = rho_ab.shape[0]
+    if rho_ab.ndim != 2 or rho_ab.shape[1] != dim:
+        raise ValueError(f"expected a square matrix, got shape {rho_ab.shape}")
+    effects = np.asarray(povms)
+    if effects.ndim != 4 or effects.shape[0] == 0:
+        raise ValueError(f"expected effects of shape (n, m, dA, dA), got {effects.shape}")
+    n, _, da, _ = effects.shape
+    if dim % da != 0:
+        raise ValueError(f"POVM dimension {da} does not divide state dimension {dim}")
+    db = dim // da
+    for setting in effects:
+        check_povm(setting)
+    sigma = np.einsum("xaij,jkil->xakl", effects, rho_ab.reshape(da, db, da, db))
+    p = np.einsum("xaii->xa", sigma).real
+    return Assemblage(d=db, n=n, sigma=sigma, p=p)
+
+
+def fidelities(asm: Assemblage, mub: MubSet) -> np.ndarray:
+    """F[x, a] = <phi_x^a| sigma_{a|x} |phi_x^a> / p(a|x); 0 where p < P_EPS.
+
+    Raises ValueError when some Im F exceeds ATOL, which Hermitian
+    conditional states cannot produce.
+    """
+    if asm.d != mub.d or asm.n != mub.n or asm.outcomes != mub.d:
+        raise ValueError(
+            f"assemblage ({asm.d}, {asm.n}, {asm.outcomes} outcomes) does not "
+            f"match MUB set ({mub.d}, {mub.n})"
+        )
+    overlap = np.einsum("xaj,xajk,xak->xa", mub.bases.conj(), asm.sigma, mub.bases)
+    fid = np.divide(overlap, asm.p, out=np.zeros_like(overlap), where=asm.p >= P_EPS)
+    residue = float(np.max(np.abs(fid.imag)))
+    if residue > ATOL:
+        raise ValueError(f"non-Hermitian inputs: imaginary trace residue {residue:.3e}")
+    return fid.real
+
+
+def work_table(asm: Assemblage, fid: np.ndarray, pop: float) -> np.ndarray:
+    """Per-round works F - P in units of omega; zero-probability rounds are 0."""
+    return np.where(asm.p >= P_EPS, fid - pop, 0.0)
+
+
+def protocol_assemblage(mub: MubSet) -> Assemblage:
+    """The saturating protocol on the general path: Phi measured in the conjugated bases."""
+    return measure_assemblage(maximally_entangled(mub.d), projective_povm(mub.bases.conj()))
 
 
 # -- one round of the game, by diagonalization ------------------------------
@@ -195,12 +343,11 @@ def work_term(rho_hat: np.ndarray, h: np.ndarray, beta: float) -> float:
 def average_work(asm: Assemblage, mub: MubSet, omega: float, beta: float) -> WorkReport:
     """Exact-mode report of any assemblage: (1/n) sum_{a,x} p(a|x) W(rho_{a|x}, H_{a|x}).
 
-    Prices every round with the package's closed-form table F - P, which the
-    tests hold against the eigen-based ledger above; run_exact_quantum does
-    the same for the one assemblage of the quantum protocol.
+    Prices every round with the closed-form table F - P, which the tests
+    hold against the eigen-based ledger above; run_exact_quantum does the
+    same for the one assemblage of the quantum protocol.
     """
-    table = game._work_table(asm, game._fidelities(asm, mub),
-                             ground_state_population(asm.d, omega, beta))
+    table = work_table(asm, fidelities(asm, mub), ground_state_population(asm.d, omega, beta))
     return game._report(asm.d, asm.n, omega, beta, mode="exact", shots=0, seed=None,
                         average=omega * float(np.sum(asm.p * table) / asm.n), stderr=None,
                         per_round=omega * table)

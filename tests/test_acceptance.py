@@ -18,19 +18,16 @@ from oracles import (
     conditional_state,
     expectation,
     lhs_work,
+    measure_assemblage,
+    projective_povm,
+    protocol_assemblage,
     random_density_matrix,
     random_lhs_model,
     random_unitary,
 )
 from steerwork.bounds import evaluate_bounds, ground_state_population
 from steerwork.cli import main as cli_main
-from steerwork.game import (
-    GameConfig,
-    measure_assemblage,
-    projective_povm,
-    run_exact_quantum,
-    run_monte_carlo,
-)
+from steerwork.game import GameConfig, run_exact_quantum, run_monte_carlo
 from steerwork.lhs import bloch_grid_search, lhs_sup_work, optimize_single_state
 from steerwork.mub import MubSet, build_mub, supported_family, verify_mub
 
@@ -77,13 +74,14 @@ def test_criterion_2_assemblage_identity():
         for d in [2, 3, 5, 7, 11, 13]:
             n_max = 3 if d == 2 else d + 1
             for n in range(2, n_max + 1):
-                asm, _ = _quantum_protocol(GameConfig(d=d, n=n))
+                p, fid = _quantum_protocol(GameConfig(d=d, n=n))
                 mub = build_mub(d, n)
+                asm = protocol_assemblage(mub)
                 for x in range(n):
                     for a in range(d):
-                        fid = expectation(conditional_state(asm, x, a), mub.bases[x, a])
-                        assert fid > 1 - 1e-10, (d, n, x, a, fid)
-                        assert abs(asm.p[x, a] - 1.0 / d) <= 1e-10, (d, n, x, a)
+                        steered = expectation(conditional_state(asm, x, a), mub.bases[x, a])
+                        assert min(fid[x, a], steered) > 1 - 1e-10, (d, n, x, a, fid, steered)
+                        assert abs(p[x, a] - 1.0 / d) <= 1e-10, (d, n, x, a)
         assert time.perf_counter() - start < 30.0
 
 

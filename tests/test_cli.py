@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -417,6 +418,35 @@ def test_out_of_memory_under_address_space_limit():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: not enough memory: ")
     assert proc.stderr.count("\n") == 1
+
+
+# a prime past any array size, and the first d whose primality is not decided
+HUGE_PRIME = "1000000000000000003"
+UNDECIDED = "3317044064679887385961981"
+
+
+class TestHugeDimension:
+    @pytest.mark.parametrize("argv,expected", [
+        (["scan", "--dims", HUGE_PRIME], 0),
+        (["simulate", "--dim", HUGE_PRIME, "--n-bases", "3"], 2),
+        (["simulate", "--dim", HUGE_PRIME, "--n-bases", "3", "--shots", "10"], 2),
+        (["lhs-opt", "--dim", HUGE_PRIME, "--n-bases", "3"], 2),
+        (["verify-mub", "--dim", HUGE_PRIME, "--n-bases", "3"], 2),
+        (["scan", "--dims", UNDECIDED], 2),
+        (["simulate", "--dim", UNDECIDED, "--n-bases", "3"], 2),
+        (["verify-mub", "--dim", UNDECIDED, "--n-bases", "4"], 2),
+    ])
+    def test_returns_within_a_second(self, capsys, argv, expected):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == expected
+        if expected:
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_undecided_primality_is_named(self, capsys):
+        _, _, err = run_cli(capsys, "scan", "--dims", UNDECIDED)
+        assert "primality" in err and "not decided" in err
 
 
 class TestEntryPoint:

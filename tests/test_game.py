@@ -8,13 +8,21 @@ import pytest
 from steerwork import game
 from steerwork.bounds import evaluate_bounds, ground_state_population
 from oracles import (
+    P_EPS,
+    Assemblage,
     average_work,
     assemblage_from_model,
     conditional_state,
     expectation,
+    fidelities,
     hamiltonian,
+    maximally_entangled,
+    measure_assemblage,
     min_eigenvalue,
     partial_trace_A,
+    projective_povm,
+    projector,
+    protocol_assemblage,
     random_density_matrix,
     random_lhs_model,
     random_unitary,
@@ -22,18 +30,9 @@ from oracles import (
     thermal_state,
     work_term,
 )
-from steerwork.game import (
-    P_EPS,
-    Assemblage,
-    GameConfig,
-    maximally_entangled,
-    measure_assemblage,
-    projective_povm,
-    run_exact_quantum,
-    run_monte_carlo,
-)
+from steerwork.game import GameConfig, run_exact_quantum, run_monte_carlo
 from steerwork.mub import build_mub
-from steerwork.qmath import dagger, normalize, projector, random_pure_state
+from steerwork.qmath import dagger, normalize, random_pure_state
 
 # 1 - e/(e+1) frozen from the 50-digit closed-form evaluation
 WQ_D2_B1 = 0.26894142136999512
@@ -61,6 +60,33 @@ def random_povm(d, outcomes, rng):
     w, v = np.linalg.eigh(total)
     inv_sqrt = (v / np.sqrt(w)) @ dagger(v)
     return [inv_sqrt @ a @ inv_sqrt for a in pieces]
+
+
+def protocol_tables(bases, sigma):
+    # the arguments _check_protocol takes, formed as _quantum_protocol forms them
+    p = np.einsum("xaii->xa", sigma).real
+    fid = np.einsum("xaj,xajk,xak->xa", bases.conj(), sigma, bases) / p
+    return [bases, p, fid, sigma.sum(axis=1)]
+
+
+def mixed(mix):
+    # protocol tables with the conditional states of setting 2 mixed by mix
+    def corrupt(bases, sigma):
+        sigma = sigma.copy()
+        sigma[2] = np.einsum("ab,bkl->akl", np.array(mix), sigma[2])
+        return protocol_tables(bases, sigma)
+    return corrupt
+
+
+def shifted(slot, shifts):
+    # protocol tables with entries of table number slot shifted: (index, amount)
+    def corrupt(bases, sigma):
+        tables = protocol_tables(bases, sigma)
+        table = tables[slot] = tables[slot].astype(complex if slot != 1 else float)
+        for index, amount in shifts:
+            table[index] += amount
+        return tables
+    return corrupt
 
 
 class TestMaximallyEntangled:
@@ -330,24 +356,35 @@ class TestRunExactQuantum:
         report = run_exact_quantum(GameConfig(d=d, n=n, omega=1.0, beta=beta))
         assert abs(report.average - evaluate_bounds(d, n, 1.0, beta).w_quantum) < 1e-10
 
-    @pytest.mark.parametrize("mix,match", [
+    @pytest.mark.parametrize("corrupt,match", [
         # doubly stochastic: traces stay 1/d, one conditional state is worst
-        ([[0.997, 0.003, 0.0], [0.003, 0.991, 0.006], [0.0, 0.006, 0.994]],
+        (mixed([[0.997, 0.003, 0.0], [0.003, 0.991, 0.006], [0.0, 0.006, 0.994]]),
          r"conditional state \(1\|2\) has fidelity"),
         # columns sum to 1, so no signaling; p(0|2) deviates most
-        ([[1.0, 0.006, 0.0], [0.0, 0.994, 0.003], [0.0, 0.0, 0.997]], r"p\(0\|2\) = "),
-    ], ids=["fidelity", "probability"])
-    def test_broken_identity_names_worst_round(self, monkeypatch, mix, match):
-        genuine = game.measure_assemblage
+        (mixed([[1.0, 0.006, 0.0], [0.0, 0.994, 0.003], [0.0, 0.0, 0.997]]), r"p\(0\|2\) = "),
+        (shifted(0, [((1, 2, 0), 3e-10), ((3, 0, 1), 1e-9)]), r"setting 3 is incomplete"),
+        (shifted(1, [((1, 0), 3e-10), ((2, 1), -1e-9)]),
+         r"outcome probabilities of setting 2 miss 1 by 1\.000e-09"),
+        (shifted(3, [((1, 0, 0), 3e-10), ((2, 1, 2), 1e-9j)]),
+         r"assemblage signals: reduced state of setting 2 differs from setting 0 by 1\.000e-09"),
+        (shifted(2, [((1, 2), 3e-10j), ((3, 0), -1e-9j)]),
+         r"conditional state \(0\|3\) has \|Im F\| = 1\.000e-09"),
+        (shifted(2, [((1, 2), 1e-9), ((3, 1), math.nan)]),
+         r"conditional state \(1\|3\) has fidelity \S*nan"),
+    ], ids=["fidelity", "probability", "completeness", "normalization", "signalling",
+            "imaginary", "nan"])
+    def test_broken_identity_names_worst_round(self, corrupt, match):
+        mub = build_mub(3, 4)
+        tables = corrupt(mub.bases, protocol_assemblage(mub).sigma)
+        with pytest.raises(RuntimeError, match="protocol identity broken: " + match):
+            game._check_protocol(*tables)
 
-        def corrupted(rho_ab, povms):
-            asm = genuine(rho_ab, povms)
-            sigma = asm.sigma.copy()
-            sigma[2] = np.einsum("ab,bkl->akl", np.array(mix), sigma[2])
-            return Assemblage(d=asm.d, n=asm.n, sigma=sigma, p=np.einsum("xaii->xa", sigma).real)
-
-        monkeypatch.setattr(game, "measure_assemblage", corrupted)
-        with pytest.raises(RuntimeError, match=match):
+    def test_broken_average_names_ceiling(self, monkeypatch):
+        # the checked tables always give mean = 1 - P; unchecked ones need not
+        p, fid = np.full((4, 3), 1.0 / 3), np.ones((4, 3))
+        fid[1, 2] -= 1e-6
+        monkeypatch.setattr(game, "_quantum_protocol", lambda config: (p, fid))
+        with pytest.raises(RuntimeError, match="deviates from the quantum ceiling"):
             run_exact_quantum(GameConfig(d=3, n=4))
 
     def test_memory_no_full_size_temporary(self):
@@ -371,12 +408,60 @@ class TestRunExactQuantum:
 @pytest.mark.parametrize("shots", [0, 1000])
 def test_one_fidelity_table_per_run(monkeypatch, shots):
     # the protocol's identity check and its work table read the same F
-    calls = []
-    genuine = game._fidelities
-    monkeypatch.setattr(game, "_fidelities", lambda *a: calls.append(1) or genuine(*a))
-    config = GameConfig(d=3, n=4, shots=shots)
-    (run_monte_carlo if shots else run_exact_quantum)(config)
-    assert len(calls) == 1
+    checked = []
+    genuine = game._check_protocol
+    monkeypatch.setattr(game, "_check_protocol",
+                        lambda *tables: checked.append(tables[2]) or genuine(*tables))
+    config = GameConfig(d=3, n=4, omega=2.0, shots=shots)
+    report = (run_monte_carlo if shots else run_exact_quantum)(config)
+    assert len(checked) == 1
+    pop = ground_state_population(3, 2.0, 1.0)
+    assert np.array_equal(report.per_round, 2.0 * (checked[0].real - pop))
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 4), (4, 2), (5, 6), (7, 8), (23, 24)])
+def test_protocol_tables_match_dense_oracle(d, n):
+    # the production tables and the general measurement path, bit for bit
+    mub = build_mub(d, n)
+    asm = protocol_assemblage(mub)
+    p, fid = game._quantum_protocol(GameConfig(d=d, n=n))
+    assert np.array_equal(p, asm.p)
+    assert np.array_equal(fid, fidelities(asm, mub))
+
+
+class TestIsotropicState:
+    # rho_eta = eta Phi + (1 - eta) I/d^2 in the conjugated bases: every round
+    # has p = 1/d and F = eta + (1 - eta)/d, so the average crosses the
+    # classical ceiling at eta = 1/sqrt(n); at d = 2, n = 3 that is the 1/sqrt(3)
+    # Pauli steering threshold of the two-qubit Werner state
+
+    @staticmethod
+    def assemblage(mub, eta):
+        d = mub.d
+        rho = eta * maximally_entangled(d) + (1.0 - eta) * np.eye(d * d) / d**2
+        return measure_assemblage(rho, projective_povm(mub.bases.conj()))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_flat_rounds(self, d):
+        mub = build_mub(d, d + 1)
+        for eta in [0.0, 0.25, 1.0 / math.sqrt(d + 1), 0.8, 1.0]:
+            asm = self.assemblage(mub, eta)
+            assert np.max(np.abs(asm.p - 1.0 / d)) <= 1e-15
+            assert np.max(np.abs(fidelities(asm, mub) - (eta + (1.0 - eta) / d))) <= 1e-15
+
+    @pytest.mark.parametrize("omega,beta", [(1.0, 1.0), (1e-3, 0.0), (3.7, 0.7),
+                                            (1e6, 0.37), (1.0, math.inf)])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_crosses_classical_ceiling_at_threshold(self, d, omega, beta):
+        n = d + 1
+        mub = build_mub(d, n)
+        threshold = 1.0 / math.sqrt(n)
+        gap = {}
+        for step in (-1, 0, 1):
+            report = average_work(self.assemblage(mub, threshold + step * 1e-6), mub, omega, beta)
+            gap[step] = report.average - report.w_classical
+        assert gap[-1] < 0 < gap[1]
+        assert abs(gap[0]) <= 1e-12 * omega
 
 
 class TestRunMonteCarlo:
@@ -417,11 +502,13 @@ class TestRunMonteCarlo:
     def test_moments_match_per_shot_formula(self, monkeypatch):
         # a table that varies across rounds, so mean and stderr are not
         # rounding noise; the reference expands the histogram shot by shot
-        table = np.linspace(-0.4, 0.9, 20).reshape(4, 5)
-        monkeypatch.setattr(game, "_work_table", lambda asm, fid, pop: table)
+        p = np.full((4, 5), 0.2)
+        fid = np.linspace(0.1, 1.4, 20).reshape(4, 5)
+        monkeypatch.setattr(game, "_quantum_protocol", lambda config: (p, fid))
         config = GameConfig(d=5, n=4, omega=3.0, shots=5000, seed=2)
         report = run_monte_carlo(config)
-        counts = game._sample_rounds(game._quantum_protocol(config)[0].p, 5000, 2)
+        table = fid - ground_state_population(5, 3.0, 1.0)
+        counts = game._sample_rounds(p, 5000, 2)
         works = np.repeat(table.ravel(), counts.ravel())
         assert report.average == pytest.approx(3.0 * works.mean(), rel=1e-13)
         assert report.stderr == pytest.approx(3.0 * works.std(ddof=1) / math.sqrt(5000),

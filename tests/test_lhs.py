@@ -10,14 +10,15 @@ from oracles import (
     assemblage_from_model,
     deterministic_single_state_model,
     lhs_work,
+    measure_assemblage,
     mub_overlap_objective,
+    projective_povm,
     random_density_matrix,
     random_lhs_model,
     random_unitary,
     tensor_product,
 )
 from steerwork import lhs
-from steerwork.game import measure_assemblage, projective_povm
 from steerwork.lhs import (
     bloch_grid_search,
     lhs_sup_work,

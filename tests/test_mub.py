@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from steerwork.mub import (
     SUPPORTED_FAMILIES,
     MubSet,
     build_mub,
+    MR_EXACT_BELOW,
     is_prime,
     supported_family,
     verify_mub,
@@ -251,8 +253,40 @@ class TestConjugateBasis:
                 assert overlap2(twice[a], mub.bases[x, a]) > 1 - 1e-12
 
 
+def trial_division_is_prime(d):
+    if d < 2:
+        return False
+    return all(d % k for k in range(2, math.isqrt(d) + 1))
+
+
 class TestMisc:
     def test_is_prime(self):
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61}
         for d in range(1, 65):
             assert is_prime(d) == (d in primes)
+
+    def test_is_prime_matches_trial_division(self):
+        for d in [*range(-3, 5000), *range(10**9 - 200, 10**9 + 200)]:
+            assert is_prime(d) == trial_division_is_prime(d), d
+
+    @pytest.mark.parametrize("d", [
+        # Carmichael numbers and the least strong pseudoprimes to the first
+        # k prime bases, up to k = 12 (the last one fools 2..37, not 41)
+        561, 41041, 2047, 1373653, 25326001, 3215031751, 2152302898747,
+        3474749660383, 341550071728321, 3825123056546413051,
+        318665857834031151167461,
+    ])
+    def test_is_prime_rejects_strong_pseudoprimes(self, d):
+        assert not is_prime(d)
+
+    @pytest.mark.parametrize("d,expected", [
+        (10**18 + 3, True), (2**61 - 1, True), (2**61 + 1, False),
+        (MR_EXACT_BELOW - 2, False), ((2**61 - 1) * (2**19 - 1), False),
+    ])
+    def test_is_prime_large(self, d, expected):
+        assert is_prime(d) is expected
+
+    def test_is_prime_refuses_undecided_range(self):
+        # MR_EXACT_BELOW itself is a strong pseudoprime to every witness
+        with pytest.raises(ValueError, match="not decided"):
+            is_prime(MR_EXACT_BELOW)

@@ -3,22 +3,17 @@ import pytest
 
 from oracles import (
     check_density_matrix,
+    check_povm,
     hermitian_eigensystem,
     min_eigenvalue,
     overlap2,
     partial_trace_A,
+    projector,
     random_density_matrix,
     random_unitary,
     tensor_product,
 )
-from steerwork.qmath import (
-    check_povm,
-    dagger,
-    normalize,
-    principal_eigenvector,
-    projector,
-    random_pure_state,
-)
+from steerwork.qmath import dagger, normalize, principal_eigenvector, random_pure_state
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
