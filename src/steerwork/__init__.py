@@ -10,17 +10,15 @@ independent optimizer.
 """
 
 from .bounds import BoundSet, evaluate_bounds
-from .game import GameConfig, WorkReport, run_exact_quantum
+from .game import WorkReport, run_exact_quantum
 from .lhs import OptimizerResult, bloch_grid_search, lhs_sup_work, optimize_single_state
-from .mub import MubConstructionError, MubSet, build_mub
+from .mub import MubConstructionError, build_mub
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "BoundSet",
-    "GameConfig",
     "MubConstructionError",
-    "MubSet",
     "OptimizerResult",
     "WorkReport",
     "bloch_grid_search",

@@ -21,7 +21,7 @@ import math
 import sys
 
 from .bounds import evaluate_bounds, json_float
-from .game import GameConfig, run_exact_quantum, run_monte_carlo
+from .game import run_exact_quantum, run_monte_carlo
 from .lhs import (DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_TOL,
                   bloch_grid_search, lhs_sup_work)
 from .mub import MubConstructionError, build_mub, check_supported, verify_mub
@@ -184,9 +184,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = GameConfig(d=args.dim, n=args.n_bases, omega=args.omega,
-                        beta=args.beta, shots=args.shots, seed=args.seed)
-    report = run_exact_quantum(config) if config.shots == 0 else run_monte_carlo(config)
+    game = (args.dim, args.n_bases, args.omega, args.beta)
+    report = (run_exact_quantum(*game) if args.shots == 0
+              else run_monte_carlo(*game, shots=args.shots, seed=args.seed))
     payload = report.to_json_dict()
     row = {k: v for k, v in payload.items() if k != "per_round"}
     shown = {k: "-" if v is None and k in ("seed", "stderr") else v for k, v in row.items()}
@@ -219,12 +219,12 @@ def cmd_scan(args) -> int:
 
 
 def cmd_lhs_opt(args) -> int:
-    mub = build_mub(args.dim, args.n_bases)
+    bases = build_mub(args.dim, args.n_bases)
     achievable, bound, result = lhs_sup_work(
-        mub, args.omega, args.beta, restarts=args.restarts, tol=args.tol,
+        bases, args.omega, args.beta, restarts=args.restarts, tol=args.tol,
         max_iter=args.max_iter, seed=args.seed)
     gap = bound - achievable
-    oracle = bloch_grid_search(mub) if args.dim == 2 else None
+    oracle = bloch_grid_search(bases) if args.dim == 2 else None
     agreement = abs(oracle.objective - result.objective) if oracle else None
 
     head = {"d": args.dim, "n": args.n_bases, "omega": args.omega, "beta": json_float(args.beta)}

@@ -21,6 +21,8 @@ omega for the work). The general path for any state and POVM stack, and
 the per-round ledger by diagonalization, live in tests/oracles.py, where
 the tests compare the production tables against them.
 
+Both modes take (d, n, omega, beta) as plain arguments and share one
+prologue, _protocol_table, which validates them and prices the tables.
 Exact mode sums over (a, x); Monte Carlo mode samples rounds operationally
 with a seeded counter-based generator, a fixed-size chunk of shots at a
 time, into a histogram of the (x, a) rounds. Its memory therefore does not
@@ -41,25 +43,6 @@ from .qmath import ATOL
 
 # Monte Carlo shots drawn per chunk; memory is O(CHUNK) whatever the shot count.
 CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class GameConfig:
-    """Free parameters of one game: dimension, bases, energy scale, bath."""
-
-    d: int
-    n: int
-    omega: float = 1.0
-    beta: float = 1.0
-    shots: int = 0
-    seed: int = 0
-
-    def __post_init__(self):
-        bounds_mod.check_parameters(self.d, self.omega, self.beta)
-        if self.n < 2:
-            raise ValueError(f"need at least two settings, got n={self.n}")
-        if self.shots < 0:
-            raise ValueError(f"shot count must be >= 0, got shots={self.shots}")
 
 
 @dataclass
@@ -121,11 +104,13 @@ def _check_protocol(bases: np.ndarray, p: np.ndarray, fid: np.ndarray,
     for dev, message in checks:
         k = np.unravel_index(np.argmax(dev), dev.shape)
         if not dev[k] <= ATOL:
+            # a round's message quotes its p and F as plain Python floats
+            quoted = {"p": float(p[k]), "f": float(fid[k].real)} if dev.ndim == 2 else {}
             raise RuntimeError("protocol identity broken: "
-                               + message.format(*k, dev=dev[k], p=p[k], f=fid[k].real))
+                               + message.format(*k, dev=dev[k], **quoted))
 
 
-def _quantum_protocol(config: GameConfig) -> tuple[np.ndarray, np.ndarray]:
+def _quantum_protocol(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Maximally entangled state measured in the conjugated bases.
 
     Returns p[x, a] and the fidelity table F[x, a] of Bob's conditional
@@ -133,8 +118,7 @@ def _quantum_protocol(config: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     effect for (x, a) is the projector onto conj(phi_x^a); the general
     path for any state and POVM stack is the test oracle in tests/oracles.py.
     """
-    d = config.d
-    bases = build_mub(d, config.n).bases
+    bases = build_mub(d, n)
     psi = np.zeros(d * d, dtype=complex)
     psi[:: d + 1] = 1.0 / math.sqrt(d)
     rho = np.outer(psi, psi.conj()).reshape(d, d, d, d)
@@ -148,7 +132,23 @@ def _quantum_protocol(config: GameConfig) -> tuple[np.ndarray, np.ndarray]:
     return p, fid.real
 
 
-def run_exact_quantum(config: GameConfig) -> WorkReport:
+def _protocol_table(d: int, n: int, omega: float,
+                    beta: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The run prologue of both modes: validate, run the protocol, price it.
+
+    Raises ValueError unless bounds.check_parameters accepts (d, omega,
+    beta) and n >= 2. Returns p[x, a], the work table F - P in units of
+    omega, and the ground-level Gibbs population P.
+    """
+    bounds_mod.check_parameters(d, omega, beta)
+    if n < 2:
+        raise ValueError(f"need at least two settings, got n={n}")
+    p, fid = _quantum_protocol(d, n)
+    pop = bounds_mod.ground_state_population(d, omega, beta)
+    return p, fid - pop, pop
+
+
+def run_exact_quantum(d: int, n: int, omega: float = 1.0, beta: float = 1.0) -> WorkReport:
     """Exact average work of the entanglement-powered protocol.
 
     The average, in units of omega, equals the closed-form quantum ceiling
@@ -156,17 +156,14 @@ def run_exact_quantum(config: GameConfig) -> WorkReport:
     checked before scaling by omega, so a subnormal omega cannot round it
     apart.
     """
-    p, fid = _quantum_protocol(config)
-    omega, beta = config.omega, config.beta
-    pop = bounds_mod.ground_state_population(config.d, omega, beta)
-    table = fid - pop
-    mean = float(np.sum(p * table) / config.n)
+    p, table, pop = _protocol_table(d, n, omega, beta)
+    mean = float(np.sum(p * table) / n)
     if abs(mean - (1.0 - pop)) > ATOL:
         raise RuntimeError(
             f"protocol average {mean!r} deviates from the quantum ceiling "
             f"{1.0 - pop!r} in units of omega"
         )
-    return _report(config.d, config.n, omega, beta, mode="exact", shots=0, seed=None,
+    return _report(d, n, omega, beta, mode="exact", shots=0, seed=None,
                    average=omega * mean, stderr=None, per_round=omega * table)
 
 
@@ -193,7 +190,8 @@ def _sample_rounds(p: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return counts.reshape(n, m)
 
 
-def run_monte_carlo(config: GameConfig) -> WorkReport:
+def run_monte_carlo(d: int, n: int, omega: float = 1.0, beta: float = 1.0, *,
+                    shots: int, seed: int = 0) -> WorkReport:
     """Operational sampling of the quantum protocol.
 
     Each shot draws x uniformly, then a from p(a|x), and banks the exact
@@ -203,16 +201,12 @@ def run_monte_carlo(config: GameConfig) -> WorkReport:
     reports. stderr is the sample standard deviation over sqrt(shots)
     (0.0 for a single shot).
     """
-    if config.shots < 1:
-        raise ValueError(f"Monte Carlo needs shots >= 1, got {config.shots}")
-    p, fid = _quantum_protocol(config)
-    table = fid - bounds_mod.ground_state_population(config.d, config.omega, config.beta)
-
-    shots = config.shots
-    counts = _sample_rounds(p, shots, config.seed)
+    if shots < 1:
+        raise ValueError(f"Monte Carlo needs shots >= 1, got {shots}")
+    p, table, _ = _protocol_table(d, n, omega, beta)
+    counts = _sample_rounds(p, shots, seed)
     mean = float(np.sum(counts * table) / shots)
     var = float(np.sum(counts * (table - mean) ** 2) / (shots - 1)) if shots > 1 else 0.0
-    omega = config.omega
-    return _report(config.d, config.n, omega, config.beta, mode="monte_carlo",
-                   shots=shots, seed=config.seed, average=omega * mean,
-                   stderr=omega * math.sqrt(var / shots), per_round=omega * table)
+    return _report(d, n, omega, beta, mode="monte_carlo", shots=shots, seed=seed,
+                   average=omega * mean, stderr=omega * math.sqrt(var / shots),
+                   per_round=omega * table)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bounds_mod
-from .mub import MubSet
 from .qmath import principal_eigenvector, random_pure_state
 
 # Defaults of optimize_single_state, which the lhs-opt flags share.
@@ -69,7 +68,7 @@ class OptimizerResult:
         }
 
 
-def optimize_single_state(mub: MubSet, restarts: int = DEFAULT_RESTARTS,
+def optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_RESTARTS,
                           tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                           seed: int = DEFAULT_SEED) -> OptimizerResult:
     """Alternating maximization of the single-state overlap objective.
@@ -81,14 +80,15 @@ def optimize_single_state(mub: MubSet, restarts: int = DEFAULT_RESTARTS,
     rounding raises RuntimeError. Restarts use seeds spawned from the
     master seed and the best restart wins, ties going to the earliest.
     Each iterate's overlap table |<phi_x^a|psi>|^2 gives both its
-    objective and the next picks.
+    objective and the next picks. bases is the (n, d, d) array of
+    mub.build_mub.
     """
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
     if max_iter < 1:
         raise ValueError(f"need at least one iteration, got max_iter={max_iter}")
-    n = mub.n
-    conj = mub.bases.conj()
+    n, d = bases.shape[:2]
+    conj = bases.conj()
 
     def overlaps(psi: np.ndarray) -> tuple[np.ndarray, float]:
         amps = np.abs(conj @ psi) ** 2
@@ -102,11 +102,11 @@ def optimize_single_state(mub: MubSet, restarts: int = DEFAULT_RESTARTS,
     seed_seqs = np.random.SeedSequence(seed).spawn(restarts)
     for seq in seed_seqs:
         rng = np.random.default_rng(seq)
-        psi = random_pure_state(mub.d, rng)
+        psi = random_pure_state(d, rng)
         amps, obj = overlaps(psi)
         converged = False
         for _ in range(max_iter):
-            picked = mub.bases[np.arange(n), np.argmax(amps, axis=1)]
+            picked = bases[np.arange(n), np.argmax(amps, axis=1)]
             psi = principal_eigenvector(picked.T @ picked.conj() / n)
             amps, new_obj = overlaps(psi)
             total_iters += 1
@@ -130,7 +130,7 @@ def optimize_single_state(mub: MubSet, restarts: int = DEFAULT_RESTARTS,
                            converged=best_converged)
 
 
-def bloch_grid_search(mub: MubSet) -> OptimizerResult:
+def bloch_grid_search(bases: np.ndarray) -> OptimizerResult:
     """Brute-force qubit oracle: scan the Bloch sphere, then zoom in.
 
     Only valid at d = 2. The initial (theta, phi) grid has BLOCH_RESOLUTION
@@ -138,13 +138,14 @@ def bloch_grid_search(mub: MubSet) -> OptimizerResult:
     geometrically with a fixed 25 x 25 subgrid until the angular step is
     far below the target precision. Fully deterministic.
     """
-    if mub.d != 2:
-        raise ValueError(f"Bloch-sphere search requires d = 2, got d={mub.d}")
+    d = bases.shape[1]
+    if d != 2:
+        raise ValueError(f"Bloch-sphere search requires d = 2, got d={d}")
 
     def evaluate(thetas: np.ndarray, phis: np.ndarray) -> tuple[float, int]:
         # the grid is scanned BLOCH_TILE theta rows at a time; a later tile
         # takes over only on strict >, so the first maximum wins
-        conj, best, flat = mub.bases.conj(), -math.inf, 0
+        conj, best, flat = bases.conj(), -math.inf, 0
         for i in range(0, len(thetas), BLOCH_TILE):
             # states (cos(t/2), e^{i f} sin(t/2)) for every grid pair
             t, f = np.meshgrid(thetas[i:i + BLOCH_TILE], phis, indexing="ij")
@@ -178,20 +179,22 @@ def bloch_grid_search(mub: MubSet) -> OptimizerResult:
                            iterations=levels, converged=True)
 
 
-def lhs_sup_work(mub: MubSet, omega: float, beta: float,
+def lhs_sup_work(bases: np.ndarray, omega: float, beta: float,
                  **optimizer) -> tuple[float, float, OptimizerResult]:
-    """Best LHS work found numerically on mub, next to the closed-form ceiling.
+    """Best LHS work found numerically on bases, next to the closed-form ceiling.
 
     Returns (achievable, bound, result) with result the output of
     optimize_single_state, which receives the optimizer keywords (restarts,
     tol, max_iter, seed). The achievable side is the work of the
     deterministic single-state model on the optimizer's best state,
     omega * objective - omega * P with P the ground-level Gibbs population;
-    bound is evaluate_bounds(...).w_classical for mub's (d, n), the same
-    expression with the Rastegin overlap bound in place of the objective.
+    bound is evaluate_bounds(...).w_classical at the (d, n) of the bases,
+    the same expression with the Rastegin overlap bound in place of the
+    objective.
     """
-    bound = bounds_mod.evaluate_bounds(mub.d, mub.n, omega, beta).w_classical
-    result = optimize_single_state(mub, **optimizer)
+    n, d = bases.shape[:2]
+    bound = bounds_mod.evaluate_bounds(d, n, omega, beta).w_classical
+    result = optimize_single_state(bases, **optimizer)
     achievable = bounds_mod.work_above_reset(
-        omega, result.objective, bounds_mod.ground_state_population(mub.d, omega, beta))
+        omega, result.objective, bounds_mod.ground_state_population(d, omega, beta))
     return achievable, bound, result

@@ -88,20 +88,6 @@ def supported_family(d: int, n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class MubSet:
-    """n orthonormal bases of C^d, stored as bases[x, a, j] = <j|phi_x^a>.
-
-    A plain carrier: nothing is validated on construction, so corrupted
-    sets can be represented and fed to verify_mub. Sets returned by
-    build_mub always pass verification.
-    """
-
-    d: int
-    n: int
-    bases: np.ndarray
-
-
-@dataclass(frozen=True)
 class MubVerification:
     """Result of checking the defining overlap relations at a tolerance.
 
@@ -113,7 +99,6 @@ class MubVerification:
     passed: bool
     max_deviation: float
     worst_pair: tuple[int, int, int, int]
-    tol: float
 
 
 def _pauli_bases() -> np.ndarray:
@@ -136,15 +121,16 @@ def check_supported(d: int, n: int) -> None:
         )
 
 
-def build_mub(d: int, n: int) -> MubSet:
+def build_mub(d: int, n: int) -> np.ndarray:
     """Construct n mutually unbiased bases in dimension d.
 
-    Raises MubConstructionError when (d, n) falls outside the supported
-    families listed in the module docstring.
+    Returns the (n, d, d) array bases[x, a, j] = <j|phi_x^a>, so row a of
+    bases[x] is vector a of basis x. Raises MubConstructionError when
+    (d, n) falls outside the supported families of the module docstring.
     """
     check_supported(d, n)
     if d == 2:
-        return MubSet(d=d, n=n, bases=_pauli_bases()[:n])
+        return _pauli_bases()[:n]
     # Vector a of basis x has j-th component d^{-1/2} exp(2 pi i (x j^2 + a j)/d):
     # a quadratic phase in j times the Fourier factor, which all bases share.
     # For composite d the one Fourier basis is the x = 0 member, unbiased to
@@ -157,14 +143,15 @@ def build_mub(d: int, n: int) -> MubSet:
         quad = np.exp(2j * np.pi * x * (j * j % d) / d)
         np.multiply(quad[np.newaxis, :], fourier, out=bases[slot])
         bases[slot] /= np.sqrt(d)
-    return MubSet(d=d, n=n, bases=bases)
+    return bases
 
 
-def verify_mub(mub: MubSet, tol: float = ATOL) -> MubVerification:
-    """Check the defining overlap relations of a MubSet.
+def verify_mub(bases: np.ndarray, tol: float = ATOL) -> MubVerification:
+    """Check the defining overlap relations of the (n, d, d) bases array.
 
     Report-style: never raises on a bad set, just flags it with the worst
-    deviation and the indices where it occurs.
+    deviation and the indices where it occurs. Nothing else is validated,
+    so corrupted sets can be checked too.
 
     Basis x is compared with bases y >= x only, since |<u|v>| = |<v|u>|,
     and each block row of the Gram matrix is built GRAM_TILE bases at a
@@ -173,12 +160,12 @@ def verify_mub(mub: MubSet, tol: float = ATOL) -> MubVerification:
     rounding may be named differently than by a full-matrix scan. A NaN
     anywhere makes max_deviation NaN and the set fail.
     """
-    d, n = mub.d, mub.n
-    columns = mub.bases.reshape(n * d, d).T
+    n, d = bases.shape[:2]
+    columns = bases.reshape(n * d, d).T
     cross = 1.0 / np.sqrt(d)
     max_dev, worst = -np.inf, (0, 0, 0, 0)
     for x in range(n):
-        row = mub.bases[x].conj()
+        row = bases[x].conj()
         starts = range(x * d, n * d, GRAM_TILE * d)
         # per tile k and row a: the largest deviation and the column of its
         # first occurrence; max and argmax both put a NaN above every number
@@ -204,5 +191,4 @@ def verify_mub(mub: MubSet, tol: float = ATOL) -> MubVerification:
             max_dev, worst = block_dev, (x, a, x + col // d, col % d)
             if math.isnan(block_dev):
                 break
-    return MubVerification(passed=max_dev <= tol, max_deviation=max_dev,
-                           worst_pair=worst, tol=tol)
+    return MubVerification(passed=max_dev <= tol, max_deviation=max_dev, worst_pair=worst)

@@ -23,7 +23,6 @@ import numpy as np
 from steerwork import game
 from steerwork.bounds import ground_state_population
 from steerwork.game import WorkReport
-from steerwork.mub import MubSet
 from steerwork.qmath import ATOL, check_hermitian, dagger, random_pure_state
 
 ATOL_CONSTRUCT = 1e-12
@@ -158,16 +157,16 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 # -- mutually unbiased bases -----------------------------------------------
 
-def mub_first_worst_pair(mub: MubSet) -> tuple[float, tuple[int, int, int, int]]:
-    """Worst overlap deviation of a MubSet and its first pair, from the full Gram matrix.
+def mub_first_worst_pair(bases: np.ndarray) -> tuple[float, tuple[int, int, int, int]]:
+    """Worst overlap deviation of (n, d, d) bases and its first pair, from the full Gram matrix.
 
     Expected |<phi_x^a|phi_y^b>| is delta_{a,b} within a basis and 1/sqrt(d)
     across bases. Pairs with y >= x are scanned in (x, a, y, b) order and the
     first worst one is returned as (max_deviation, (x, a, y, b)); a NaN
     counts above every number.
     """
-    d, n = mub.d, mub.n
-    flat = mub.bases.reshape(n * d, d)
+    n, d = bases.shape[:2]
+    flat = bases.reshape(n * d, d)
     expect = np.full((n * d, n * d), 1.0 / np.sqrt(d))
     for x in range(n):
         expect[x * d:(x + 1) * d, x * d:(x + 1) * d] = np.eye(d)
@@ -258,18 +257,19 @@ def measure_assemblage(rho_ab: np.ndarray, povms: np.ndarray) -> Assemblage:
     return Assemblage(d=db, n=n, sigma=sigma, p=p)
 
 
-def fidelities(asm: Assemblage, mub: MubSet) -> np.ndarray:
+def fidelities(asm: Assemblage, bases: np.ndarray) -> np.ndarray:
     """F[x, a] = <phi_x^a| sigma_{a|x} |phi_x^a> / p(a|x); 0 where p < P_EPS.
 
     Raises ValueError when some Im F exceeds ATOL, which Hermitian
     conditional states cannot produce.
     """
-    if asm.d != mub.d or asm.n != mub.n or asm.outcomes != mub.d:
+    n, d = bases.shape[:2]
+    if asm.d != d or asm.n != n or asm.outcomes != d:
         raise ValueError(
             f"assemblage ({asm.d}, {asm.n}, {asm.outcomes} outcomes) does not "
-            f"match MUB set ({mub.d}, {mub.n})"
+            f"match MUB set ({d}, {n})"
         )
-    overlap = np.einsum("xaj,xajk,xak->xa", mub.bases.conj(), asm.sigma, mub.bases)
+    overlap = np.einsum("xaj,xajk,xak->xa", bases.conj(), asm.sigma, bases)
     fid = np.divide(overlap, asm.p, out=np.zeros_like(overlap), where=asm.p >= P_EPS)
     residue = float(np.max(np.abs(fid.imag)))
     if residue > ATOL:
@@ -282,9 +282,9 @@ def work_table(asm: Assemblage, fid: np.ndarray, pop: float) -> np.ndarray:
     return np.where(asm.p >= P_EPS, fid - pop, 0.0)
 
 
-def protocol_assemblage(mub: MubSet) -> Assemblage:
+def protocol_assemblage(bases: np.ndarray) -> Assemblage:
     """The saturating protocol on the general path: Phi measured in the conjugated bases."""
-    return measure_assemblage(maximally_entangled(mub.d), projective_povm(mub.bases.conj()))
+    return measure_assemblage(maximally_entangled(bases.shape[1]), projective_povm(bases.conj()))
 
 
 # -- one round of the game, by diagonalization ------------------------------
@@ -297,15 +297,16 @@ def conditional_state(asm: Assemblage, x: int, a: int) -> np.ndarray:
     return asm.sigma[x, a] / prob
 
 
-def hamiltonian(mub: MubSet, a: int, x: int, omega: float) -> np.ndarray:
+def hamiltonian(bases: np.ndarray, a: int, x: int, omega: float) -> np.ndarray:
     """Quench Hamiltonian -omega |phi_x^a><phi_x^a|; spectrum {-omega, 0^(d-1)}."""
-    if not 0 <= x < mub.n:
-        raise IndexError(f"basis index {x} out of range [0, {mub.n})")
-    if not 0 <= a < mub.d:
-        raise IndexError(f"outcome index {a} out of range [0, {mub.d})")
+    n, d = bases.shape[:2]
+    if not 0 <= x < n:
+        raise IndexError(f"basis index {x} out of range [0, {n})")
+    if not 0 <= a < d:
+        raise IndexError(f"outcome index {a} out of range [0, {d})")
     if not omega > 0:
         raise ValueError(f"energy gap must be positive, got omega={omega}")
-    return -omega * projector(mub.bases[x, a])
+    return -omega * projector(bases[x, a])
 
 
 def thermal_state(h: np.ndarray, beta: float) -> np.ndarray:
@@ -340,14 +341,14 @@ def work_term(rho_hat: np.ndarray, h: np.ndarray, beta: float) -> float:
     return -t_state.real + t_thermal.real
 
 
-def average_work(asm: Assemblage, mub: MubSet, omega: float, beta: float) -> WorkReport:
+def average_work(asm: Assemblage, bases: np.ndarray, omega: float, beta: float) -> WorkReport:
     """Exact-mode report of any assemblage: (1/n) sum_{a,x} p(a|x) W(rho_{a|x}, H_{a|x}).
 
     Prices every round with the closed-form table F - P, which the tests
     hold against the eigen-based ledger above; run_exact_quantum does the
     same for the one assemblage of the quantum protocol.
     """
-    table = work_table(asm, fidelities(asm, mub), ground_state_population(asm.d, omega, beta))
+    table = work_table(asm, fidelities(asm, bases), ground_state_population(asm.d, omega, beta))
     return game._report(asm.d, asm.n, omega, beta, mode="exact", shots=0, seed=None,
                         average=omega * float(np.sum(asm.p * table) / asm.n), stderr=None,
                         per_round=omega * table)
@@ -393,23 +394,24 @@ def assemblage_from_model(model: LhsModel) -> Assemblage:
     return Assemblage(d=model.d, n=model.n, sigma=sigma, p=p)
 
 
-def lhs_work(model: LhsModel, mub: MubSet, omega: float, beta: float) -> float:
+def lhs_work(model: LhsModel, bases: np.ndarray, omega: float, beta: float) -> float:
     """Average work the model extracts against the MUB quench Hamiltonians."""
-    return average_work(assemblage_from_model(model), mub, omega, beta).average
+    return average_work(assemblage_from_model(model), bases, omega, beta).average
 
 
-def mub_overlap_objective(mub: MubSet, psi: np.ndarray) -> float:
+def mub_overlap_objective(bases: np.ndarray, psi: np.ndarray) -> float:
     """(1/n) sum_x max_a |<phi_x^a|psi>|^2 for a pure state psi."""
-    amps = np.abs(mub.bases.conj() @ psi) ** 2
+    amps = np.abs(bases.conj() @ psi) ** 2
     return float(amps.max(axis=1).mean())
 
 
-def deterministic_single_state_model(mub: MubSet, psi: np.ndarray) -> LhsModel:
+def deterministic_single_state_model(bases: np.ndarray, psi: np.ndarray) -> LhsModel:
     """Extreme-point model: one hidden state, responses pinned to the argmax."""
-    picks = np.argmax(np.abs(mub.bases.conj() @ psi) ** 2, axis=1)
-    response = np.zeros((1, mub.n, mub.d))
-    response[0, np.arange(mub.n), picks] = 1.0
-    return LhsModel(d=mub.d, n=mub.n, states=projector(psi)[np.newaxis],
+    n, d = bases.shape[:2]
+    picks = np.argmax(np.abs(bases.conj() @ psi) ** 2, axis=1)
+    response = np.zeros((1, n, d))
+    response[0, np.arange(n), picks] = 1.0
+    return LhsModel(d=d, n=n, states=projector(psi)[np.newaxis],
                     weights=np.array([1.0]), response=response)
 
 

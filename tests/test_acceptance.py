@@ -27,9 +27,9 @@ from oracles import (
 )
 from steerwork.bounds import evaluate_bounds, ground_state_population
 from steerwork.cli import main as cli_main
-from steerwork.game import GameConfig, run_exact_quantum, run_monte_carlo
+from steerwork.game import run_exact_quantum, run_monte_carlo
 from steerwork.lhs import bloch_grid_search, lhs_sup_work, optimize_single_state
-from steerwork.mub import MubSet, build_mub, supported_family, verify_mub
+from steerwork.mub import build_mub, supported_family, verify_mub
 
 BETA_PALETTE = [0.0, 0.5, 1.0, 2.0, math.inf]
 
@@ -57,7 +57,7 @@ def test_criterion_1_quantum_protocol_reproduction():
     with criterion("1 quantum protocol reproduction"):
         for d, n, printed in [(2, 3, 0.26894142), (3, 4, 0.42388307)]:
             start = time.perf_counter()
-            report = run_exact_quantum(GameConfig(d=d, n=n, omega=1.0, beta=1.0))
+            report = run_exact_quantum(d=d, n=n, omega=1.0, beta=1.0)
             elapsed = time.perf_counter() - start
             oracle = eq16_oracle(d, 1.0, 1.0)
             assert abs(report.average - oracle) < 1e-9, (d, n, report.average, oracle)
@@ -74,12 +74,12 @@ def test_criterion_2_assemblage_identity():
         for d in [2, 3, 5, 7, 11, 13]:
             n_max = 3 if d == 2 else d + 1
             for n in range(2, n_max + 1):
-                p, fid = _quantum_protocol(GameConfig(d=d, n=n))
-                mub = build_mub(d, n)
-                asm = protocol_assemblage(mub)
+                p, fid = _quantum_protocol(d, n)
+                bases = build_mub(d, n)
+                asm = protocol_assemblage(bases)
                 for x in range(n):
                     for a in range(d):
-                        steered = expectation(conditional_state(asm, x, a), mub.bases[x, a])
+                        steered = expectation(conditional_state(asm, x, a), bases[x, a])
                         assert min(fid[x, a], steered) > 1 - 1e-10, (d, n, x, a, fid, steered)
                         assert abs(p[x, a] - 1.0 / d) <= 1e-10, (d, n, x, a)
         assert time.perf_counter() - start < 30.0
@@ -91,11 +91,11 @@ def test_criterion_3_lhs_never_beats_classical_bound():
         rng = np.random.default_rng(2024)
         for d in [2, 3, 5]:
             n = d + 1
-            mub = build_mub(d, n)
+            bases = build_mub(d, n)
             for _ in range(1000):
                 beta = float(rng.choice(BETA_PALETTE))
                 model = random_lhs_model(d, n, rng)
-                work = lhs_work(model, mub, 1.0, beta)
+                work = lhs_work(model, bases, 1.0, beta)
                 cap = evaluate_bounds(d, n, 1.0, beta).w_classical
                 assert work <= cap + 1e-8, (d, beta, work, cap)
         assert time.perf_counter() - start < 120.0
@@ -104,9 +104,9 @@ def test_criterion_3_lhs_never_beats_classical_bound():
 def test_criterion_4_qubit_tightness():
     with criterion("4 qubit ceiling is attained"):
         target = 0.78867513  # (1 + 1/sqrt(3))/2 to the quoted digits
-        mub = build_mub(2, 3)
-        opt = optimize_single_state(mub, restarts=32, seed=0)
-        grid = bloch_grid_search(mub)
+        bases = build_mub(2, 3)
+        opt = optimize_single_state(bases, restarts=32, seed=0)
+        grid = bloch_grid_search(bases)
         assert abs(opt.objective - target) < 1e-6
         assert abs(grid.objective - target) < 1e-6
         for beta in [0.0, 0.5, 1.0, 2.0]:
@@ -151,33 +151,32 @@ def test_criterion_7_generic_ceiling():
         rng = np.random.default_rng(777)
         for d in [2, 3]:
             n = d + 1
-            mub = build_mub(d, n)
+            bases = build_mub(d, n)
             for _ in range(250):
                 beta = float(rng.choice(BETA_PALETTE))
                 rho = random_density_matrix(d * d, rng)
                 povms = [projective_povm(random_unitary(d, rng).T) for _ in range(n)]
-                report = average_work(measure_assemblage(rho, povms), mub, 1.0, beta)
+                report = average_work(measure_assemblage(rho, povms), bases, 1.0, beta)
                 ceiling = 1.0 - ground_state_population(d, 1.0, beta)
                 assert report.average <= ceiling + 1e-8, (d, beta, report.average)
 
 
 def test_criterion_8_monte_carlo_statistics():
     with criterion("8 Monte Carlo statistics"):
-        exact = run_exact_quantum(GameConfig(d=2, n=3, omega=1.0, beta=1.0)).average
+        exact = run_exact_quantum(d=2, n=3, omega=1.0, beta=1.0).average
         # The protocol pays identical work every round, so the sample spread
         # is pure rounding noise; the 5-sigma band therefore gets a
         # machine-resolution floor (~1e-15), far below any physical scale.
         floor = 8 * np.finfo(float).eps * max(1.0, abs(exact))
         hits = 0
         for seed in range(100):
-            rep = run_monte_carlo(GameConfig(d=2, n=3, omega=1.0, beta=1.0,
-                                             shots=100_000, seed=seed))
+            rep = run_monte_carlo(d=2, n=3, omega=1.0, beta=1.0, shots=100_000, seed=seed)
             if abs(rep.average - exact) <= 5 * rep.stderr + floor:
                 hits += 1
         assert hits >= 99, f"only {hits}/100 runs within the 5-sigma band"
 
-        a = run_monte_carlo(GameConfig(d=2, n=3, shots=100_000, seed=12345))
-        b = run_monte_carlo(GameConfig(d=2, n=3, shots=100_000, seed=12345))
+        a = run_monte_carlo(d=2, n=3, shots=100_000, seed=12345)
+        b = run_monte_carlo(d=2, n=3, shots=100_000, seed=12345)
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
 
@@ -195,14 +194,14 @@ def test_criterion_9_mub_certification():
 
         clean = build_mub(3, 4)
 
-        duplicated = clean.bases.copy()
+        duplicated = clean.copy()
         duplicated[2] = duplicated[1]
-        assert not verify_mub(MubSet(d=3, n=4, bases=duplicated), tol=1e-10).passed
+        assert not verify_mub(duplicated, tol=1e-10).passed
 
-        denormalized = clean.bases.copy()
+        denormalized = clean.copy()
         denormalized[1, 0] *= 0.9
-        assert not verify_mub(MubSet(d=3, n=4, bases=denormalized), tol=1e-10).passed
+        assert not verify_mub(denormalized, tol=1e-10).passed
 
-        phased = clean.bases.copy()
+        phased = clean.copy()
         phased[2, 1, 0] *= np.exp(1j * 1e-3)
-        assert not verify_mub(MubSet(d=3, n=4, bases=phased), tol=1e-10).passed
+        assert not verify_mub(phased, tol=1e-10).passed

@@ -389,7 +389,7 @@ def test_out_to_missing_directory(capsys, tmp_path):
     (MemoryError(), "allocation failed"),
 ])
 def test_memory_error_is_a_one_line_exit(capsys, monkeypatch, raised, detail):
-    def exhausted(config):
+    def exhausted(d, n, omega, beta):
         raise raised
 
     monkeypatch.setattr("steerwork.cli.run_exact_quantum", exhausted)
@@ -397,6 +397,16 @@ def test_memory_error_is_a_one_line_exit(capsys, monkeypatch, raised, detail):
     assert code == 2
     assert out == ""
     assert err == f"error: not enough memory: {detail}\n"
+
+
+@pytest.mark.parametrize("command, code, message", [
+    ("simulate", 2, "need at least two settings, got n=1"),
+    ("lhs-opt", 4, f"(d=2, n=1) not available; supported families: {FAMILIES}"),
+])
+def test_single_basis_game_rejected(capsys, command, code, message):
+    # bounds accepts n = 1; a game needs two settings, and no MUB family has one
+    got, out, err = run_cli(capsys, command, "--dim", "2", "--n-bases", "1")
+    assert (got, out, err) == (code, "", f"error: {message}\n")
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")

@@ -24,7 +24,7 @@ from steerwork.lhs import (
     lhs_sup_work,
     optimize_single_state,
 )
-from steerwork.mub import MubSet, build_mub
+from steerwork.mub import build_mub
 from steerwork.qmath import normalize, random_pure_state
 
 PAULI = [
@@ -48,7 +48,7 @@ def bloch_vector(psi):
 
 
 def single_basis_set():
-    return MubSet(d=2, n=1, bases=np.eye(2, dtype=complex)[np.newaxis])
+    return np.eye(2, dtype=complex)[np.newaxis]
 
 
 class TestAssemblageFromModel:
@@ -100,32 +100,32 @@ class TestAssemblageFromModel:
 class TestLhsWork:
     def test_trivial_single_state_model(self):
         d, n = 3, 4
-        mub = build_mub(d, n)
+        bases = build_mub(d, n)
         model = LhsModel(d=d, n=n, states=(np.eye(d, dtype=complex) / d)[np.newaxis],
                          weights=np.array([1.0]), response=np.full((1, n, d), 1.0 / d))
         z = math.e + d - 1
         expect = 1.0 / d - math.e / z
-        assert abs(lhs_work(model, mub, 1.0, 1.0) - expect) < 1e-12
+        assert abs(lhs_work(model, bases, 1.0, 1.0) - expect) < 1e-12
 
     def test_qubit_optimal_model_saturates(self):
         # Bloch (1,1,1)/sqrt(3) with responses pinned to the closest outcome
-        mub = build_mub(2, 3)
+        bases = build_mub(2, 3)
         psi = normalize(np.array([math.cos(0.5 * math.acos(1 / math.sqrt(3))),
                                   math.sin(0.5 * math.acos(1 / math.sqrt(3)))
                                   * np.exp(1j * math.pi / 4)]))
-        model = deterministic_single_state_model(mub, psi)
+        model = deterministic_single_state_model(bases, psi)
         for beta in (0.0, 1.0, 2.0):
-            got = lhs_work(model, mub, 1.0, beta)
+            got = lhs_work(model, bases, 1.0, beta)
             assert abs(got - evaluate_bounds(2, 3, 1.0, beta).w_classical) < 1e-6
 
     @pytest.mark.parametrize("d,n", [(2, 3), (3, 4), (5, 6)])
     def test_never_beats_classical_bound(self, d, n):
-        mub = build_mub(d, n)
+        bases = build_mub(d, n)
         rng = np.random.default_rng(d * 97)
         wc = evaluate_bounds(d, n, 1.0, 1.0).w_classical
         for _ in range(60):
             model = random_lhs_model(d, n, rng)
-            assert lhs_work(model, mub, 1.0, 1.0) <= wc + 1e-8
+            assert lhs_work(model, bases, 1.0, 1.0) <= wc + 1e-8
 
 
 class TestOptimizeSingleState:
@@ -157,9 +157,9 @@ class TestOptimizeSingleState:
         assert np.array_equal(a.best_state, b.best_state)
 
     def test_objective_matches_helper(self):
-        mub = build_mub(5, 6)
-        result = optimize_single_state(mub, restarts=8, seed=7)
-        assert abs(result.objective - mub_overlap_objective(mub, result.best_state)) < 1e-14
+        bases = build_mub(5, 6)
+        result = optimize_single_state(bases, restarts=8, seed=7)
+        assert abs(result.objective - mub_overlap_objective(bases, result.best_state)) < 1e-14
 
     @pytest.mark.parametrize("kwargs, match", [
         (dict(restarts=0), "restart"), (dict(max_iter=0), "max_iter"),
@@ -181,16 +181,16 @@ class TestBlochGridSearch:
 
     def test_grid_never_beats_optimizer(self):
         for n in (2, 3):
-            mub = build_mub(2, n)
-            grid = bloch_grid_search(mub)
-            opt = optimize_single_state(mub, restarts=16, seed=2)
+            bases = build_mub(2, n)
+            grid = bloch_grid_search(bases)
+            opt = optimize_single_state(bases, restarts=16, seed=2)
             assert grid.objective <= opt.objective + 1e-6
 
     def test_oracle_agreement(self):
         for n in (2, 3):
-            mub = build_mub(2, n)
-            grid = bloch_grid_search(mub)
-            opt = optimize_single_state(mub, restarts=16, seed=5)
+            bases = build_mub(2, n)
+            grid = bloch_grid_search(bases)
+            opt = optimize_single_state(bases, restarts=16, seed=5)
             assert abs(grid.objective - opt.objective) < 1e-5
 
     def test_rejects_higher_dimensions(self):
@@ -199,19 +199,19 @@ class TestBlochGridSearch:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_tiles_do_not_change_the_result(self, n, monkeypatch):
-        mub = build_mub(2, n)
-        tiled = bloch_grid_search(mub)
+        bases = build_mub(2, n)
+        tiled = bloch_grid_search(bases)
         monkeypatch.setattr(lhs, "BLOCH_TILE", lhs.BLOCH_RESOLUTION)
-        whole = bloch_grid_search(mub)
+        whole = bloch_grid_search(bases)
         assert tiled.objective == whole.objective
         assert tiled.best_state.tobytes() == whole.best_state.tobytes()
 
     def test_memory_grid_tiles(self):
         # the whole 500 x 500 grid at once peaked at about 46 MB for n = 3
-        mub = build_mub(2, 3)
+        bases = build_mub(2, 3)
         tracemalloc.start()
         try:
-            bloch_grid_search(mub)
+            bloch_grid_search(bases)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -232,8 +232,8 @@ class TestLhsSupWork:
         assert bound - achievable == pytest.approx(2 / 3 - QUTRIT_ATTAINED_N4, abs=1e-6)
 
     def test_infinite_temperature_identity(self):
-        mub = build_mub(2, 3)
-        result = optimize_single_state(mub, restarts=16, seed=4)
+        bases = build_mub(2, 3)
+        result = optimize_single_state(bases, restarts=16, seed=4)
         achievable, _, _ = lhs_sup_work(build_mub(2, 3), 1.0, 0.0, restarts=16, seed=4)
         assert abs(achievable - (result.objective - 0.5)) < 1e-12
 
@@ -243,19 +243,19 @@ class TestLhsSupWork:
         # omega * objective - omega * P; the full game pipeline on that
         # model is the reference, for random states and the optimizer's best
         n = d + 1
-        mub = build_mub(d, n)
+        bases = build_mub(d, n)
         rng = np.random.default_rng(40 + d)
         states = [random_pure_state(d, rng) for _ in range(3)]
         for omega in (1e-3, 1.0, 1e300):
             for beta in (0.0, 0.37, 1.0, math.inf):
-                achievable, _, result = lhs_sup_work(mub, omega, beta, restarts=4, seed=d)
+                achievable, _, result = lhs_sup_work(bases, omega, beta, restarts=4, seed=d)
                 pop = ground_state_population(d, omega, beta)
                 cases = [(result.best_state, achievable)]
-                cases += [(psi, omega * mub_overlap_objective(mub, psi) - omega * pop)
+                cases += [(psi, omega * mub_overlap_objective(bases, psi) - omega * pop)
                           for psi in states]
                 for psi, closed in cases:
-                    model = deterministic_single_state_model(mub, psi)
-                    oracle = lhs_work(model, mub, omega, beta)
+                    model = deterministic_single_state_model(bases, psi)
+                    oracle = lhs_work(model, bases, omega, beta)
                     assert abs(closed - oracle) <= 1e-12 * omega, (omega, beta)
 
     def test_bound_follows_the_mub_set(self):
@@ -268,10 +268,10 @@ class TestLhsSupWork:
     def test_memory_no_assemblage(self):
         # running the game on the one-state model built a (32, 31, 31, 31)
         # complex sigma stack at d = 31, about 15 MB; the closed form needs none
-        mub = build_mub(31, 32)
+        bases = build_mub(31, 32)
         tracemalloc.start()
         try:
-            lhs_sup_work(mub, 1.0, 1.0)
+            lhs_sup_work(bases, 1.0, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -281,9 +281,9 @@ class TestLhsSupWork:
 class TestArgmaxTieBreaking:
     def test_ties_go_to_smallest_outcome(self):
         # |+> is equidistant from both Z outcomes and exactly on X outcome 0
-        mub = build_mub(2, 2)
+        bases = build_mub(2, 2)
         plus = normalize(np.array([1.0, 1.0]))
-        model = deterministic_single_state_model(mub, plus)
+        model = deterministic_single_state_model(bases, plus)
         assert model.response[0, 0, 0] == 1.0  # Z basis: tie, outcome 0 wins
         assert model.response[0, 1, 0] == 1.0  # X basis: aligned with outcome 0
 

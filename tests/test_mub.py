@@ -9,7 +9,6 @@ from steerwork.mub import (
     GRAM_TILE,
     MubConstructionError,
     SUPPORTED_FAMILIES,
-    MubSet,
     build_mub,
     MR_EXACT_BELOW,
     is_prime,
@@ -20,15 +19,16 @@ from steerwork.mub import (
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23]
 
 
-def exhaustive_overlap_check(mub, tol):
+def exhaustive_overlap_check(bases, tol):
     # direct loop over every vector pair, independent of verify_mub
-    target_cross = 1.0 / np.sqrt(mub.d)
+    n, d = bases.shape[:2]
+    target_cross = 1.0 / np.sqrt(d)
     worst = 0.0
-    for x in range(mub.n):
-        for a in range(mub.d):
-            for y in range(mub.n):
-                for b in range(mub.d):
-                    ov = abs(np.vdot(mub.bases[x, a], mub.bases[y, b]))
+    for x in range(n):
+        for a in range(d):
+            for y in range(n):
+                for b in range(d):
+                    ov = abs(np.vdot(bases[x, a], bases[y, b]))
                     expect = (1.0 if a == b else 0.0) if x == y else target_cross
                     worst = max(worst, abs(ov - expect))
     assert worst < tol, f"worst deviation {worst:.3e}"
@@ -37,28 +37,28 @@ def exhaustive_overlap_check(mub, tol):
 
 class TestBuildMub:
     def test_qubit_pauli_family(self):
-        mub = build_mub(2, 3)
+        bases = build_mub(2, 3)
         # basis 0 is computational (Z); bases are the Pauli eigenbases
-        assert np.allclose(mub.bases[0], np.eye(2))
-        exhaustive_overlap_check(mub, 1e-12)
+        assert np.allclose(bases[0], np.eye(2))
+        exhaustive_overlap_check(bases, 1e-12)
         for x in range(3):
             for y in range(x + 1, 3):
                 for a in range(2):
                     for b in range(2):
-                        ov = abs(np.vdot(mub.bases[x, a], mub.bases[y, b]))
+                        ov = abs(np.vdot(bases[x, a], bases[y, b]))
                         assert abs(ov - 1 / np.sqrt(2)) < 1e-12
 
     def test_fourier_pair_d4(self):
-        mub = build_mub(4, 2)
-        assert np.allclose(mub.bases[0], np.eye(4))
-        cross = np.abs(mub.bases[1].conj() @ mub.bases[0].T)
+        bases = build_mub(4, 2)
+        assert np.allclose(bases[0], np.eye(4))
+        cross = np.abs(bases[1].conj() @ bases[0].T)
         assert np.allclose(cross, 0.5, atol=1e-12)
 
     @pytest.mark.parametrize("d", [4, 6, 9, 10, 12, 64])
     def test_composite_pair_is_fourier(self, d):
         j = np.arange(d)
         dft = np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
-        assert np.allclose(build_mub(d, 2).bases[1], dft, rtol=0, atol=1e-14)
+        assert np.allclose(build_mub(d, 2)[1], dft, rtol=0, atol=1e-14)
 
     def test_qutrit_full_family(self):
         worst = exhaustive_overlap_check(build_mub(3, 4), 1e-12)
@@ -88,11 +88,11 @@ class TestBuildMub:
         # the bases are written in place; stacking per-basis copies took 2x
         tracemalloc.start()
         try:
-            mub = build_mub(61, 62)
+            bases = build_mub(61, 62)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * mub.bases.nbytes, f"peak {peak / mub.bases.nbytes:.2f} x the bases"
+        assert peak < 1.25 * bases.nbytes, f"peak {peak / bases.nbytes:.2f} x the bases"
 
     def test_error_names_supported_families(self):
         with pytest.raises(MubConstructionError, match="odd prime"):
@@ -107,48 +107,48 @@ class TestVerifyMub:
 
     def test_duplicated_basis_fails(self):
         eye = np.eye(2, dtype=complex)
-        report = verify_mub(MubSet(d=2, n=2, bases=np.stack([eye, eye])))
+        report = verify_mub(np.stack([eye, eye]))
         assert not report.passed
         # worst offender: a cross overlap of 0 against an expected 1/sqrt(2)
         assert abs(report.max_deviation - 1 / np.sqrt(2)) < 1e-12
         x, _, y, _ = report.worst_pair
         assert x != y
         # exact ties in every cross block: the first worst pair in block order wins
-        report = verify_mub(MubSet(d=2, n=3, bases=np.stack([eye, eye, eye])))
+        report = verify_mub(np.stack([eye, eye, eye]))
         assert report.worst_pair == (0, 0, 1, 1)
         # the copy overwrites the first or the last basis, the edges of the block rows
         for dst, src in [(0, 1), (3, 0), (3, 2)]:
-            bases = build_mub(3, 4).bases.copy()
+            bases = build_mub(3, 4).copy()
             bases[dst] = bases[src]
-            report = verify_mub(MubSet(d=3, n=4, bases=bases))
+            report = verify_mub(bases)
             assert not report.passed
             assert abs(report.max_deviation - 1 / np.sqrt(3)) < 1e-12
             x, _, y, _ = report.worst_pair
             assert {x, y} == {dst, src}
 
     def test_denormalized_vector_fails(self):
-        mub = build_mub(2, 3)
+        clean = build_mub(2, 3)
         for x in (0, 1, 2):
-            bases = mub.bases.copy()
+            bases = clean.copy()
             bases[x, 0] *= 0.9
-            report = verify_mub(MubSet(d=2, n=3, bases=bases))
+            report = verify_mub(bases)
             assert not report.passed
             assert report.max_deviation > 0.05
             # the norm defect 1 - 0.81 outweighs every cross-overlap defect
             assert report.worst_pair == (x, 0, x, 0)
 
     def test_phase_perturbed_vector_fails(self):
-        mub = build_mub(3, 4)
+        bases = build_mub(3, 4)
         # a common unitary keeps the set unbiased and makes basis 0 dense, so a
         # phase kick on one component is not a global phase there
         rng = np.random.default_rng(3)
         u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        rotated = mub.bases @ u.T
-        assert verify_mub(MubSet(d=3, n=4, bases=rotated)).passed
+        rotated = bases @ u.T
+        assert verify_mub(rotated).passed
         for x in (0, 2, 3):
             bases = rotated.copy()
             bases[x, 1, 0] *= np.exp(1j * 1e-3)
-            report = verify_mub(MubSet(d=3, n=4, bases=bases))
+            report = verify_mub(bases)
             assert not report.passed
             assert report.max_deviation > 1e-5
             wx, wa, wy, wb = report.worst_pair
@@ -157,35 +157,35 @@ class TestVerifyMub:
     @pytest.mark.parametrize("bad", [np.nan, complex(0.5, np.nan), np.inf])
     @pytest.mark.parametrize("x", [0, 5])
     def test_non_finite_amplitude_fails(self, x, bad):
-        bases = build_mub(5, 6).bases.copy()
+        bases = build_mub(5, 6).copy()
         bases[x, 2, 3] = bad
         with np.errstate(invalid="ignore"):
-            report = verify_mub(MubSet(d=5, n=6, bases=bases))
+            report = verify_mub(bases)
         assert not report.passed
         assert np.isnan(report.max_deviation)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
     def test_matches_exhaustive_check(self, d):
-        mub = build_mub(d, d + 1)
-        report = verify_mub(mub)
-        assert abs(report.max_deviation - exhaustive_overlap_check(mub, 1e-12)) <= 1e-15
+        bases = build_mub(d, d + 1)
+        report = verify_mub(bases)
+        assert abs(report.max_deviation - exhaustive_overlap_check(bases, 1e-12)) <= 1e-15
         x, a, y, b = report.worst_pair
-        ov = abs(np.vdot(mub.bases[x, a], mub.bases[y, b]))
+        ov = abs(np.vdot(bases[x, a], bases[y, b]))
         expect = (1.0 if a == b else 0.0) if x == y else 1.0 / np.sqrt(d)
         assert abs(abs(ov - expect) - report.max_deviation) <= 1e-15
 
     @pytest.mark.parametrize("d,n", [(d, n) for d in range(2, 14) for n in range(2, d + 2)
                                      if supported_family(d, n)])
     def test_matches_full_gram_oracle(self, d, n):
-        mub = build_mub(d, n)
-        report = verify_mub(mub)
-        oracle_max, _ = mub_first_worst_pair(mub)
+        bases = build_mub(d, n)
+        report = verify_mub(bases)
+        oracle_max, _ = mub_first_worst_pair(bases)
         # products computed in another blocking may differ in the last bit, so
         # the worst pair is checked to attain the maximum up to rounding
         assert abs(report.max_deviation - oracle_max) <= 1e-15
         x, a, y, b = report.worst_pair
         assert y >= x
-        ov = abs(np.vdot(mub.bases[x, a], mub.bases[y, b]))
+        ov = abs(np.vdot(bases[x, a], bases[y, b]))
         expect = (1.0 if a == b else 0.0) if x == y else 1.0 / np.sqrt(d)
         assert abs(abs(ov - expect) - oracle_max) <= 1e-15
 
@@ -198,23 +198,22 @@ class TestVerifyMub:
         # about 1/d. The first in (x, a, y, b) order lies in the later tile.
         y_early, y_late = x + 1, x + GRAM_TILE
         d = min(p for p in ODD_PRIMES if p + 1 > y_late)
-        bases = build_mub(d, d + 1).bases.copy()
+        bases = build_mub(d, d + 1).copy()
         bases[[0, x]] = bases[[x, 0]]
         bases[y_early, 2, 4] = 0.0
         bases[y_late, 3, 1] = 0.0
-        mub = MubSet(d=d, n=d + 1, bases=bases)
-        report = verify_mub(mub)
+        report = verify_mub(bases)
         assert report.max_deviation == 1.0 / np.sqrt(d)
         assert report.worst_pair == (x, 1, y_late, 3)
-        assert (report.max_deviation, report.worst_pair) == mub_first_worst_pair(mub)
+        assert (report.max_deviation, report.worst_pair) == mub_first_worst_pair(bases)
 
     def test_memory_one_block_row(self):
         # the full (nd)^2 Gram matrix at d = 61 would take about 440 MB and one
         # d x nd block row about 7 MB; a tile of GRAM_TILE bases takes 0.5 MB
-        mub = build_mub(61, 62)
+        bases = build_mub(61, 62)
         tracemalloc.start()
         try:
-            report = verify_mub(mub)
+            report = verify_mub(bases)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -229,28 +228,28 @@ class TestVerifyMub:
 
 class TestConjugateBasis:
     def test_real_bases_fixed(self):
-        mub = build_mub(2, 3)
+        bases = build_mub(2, 3)
         for x in (0, 1):  # Z and X eigenbases are real
-            assert np.allclose(mub.bases[x].conj(), mub.bases[x])
+            assert np.allclose(bases[x].conj(), bases[x])
 
     def test_y_basis_swaps_phases(self):
-        mub = build_mub(2, 3)
-        got = mub.bases[2].conj()
+        bases = build_mub(2, 3)
+        got = bases[2].conj()
         s = 1 / np.sqrt(2)
         assert np.allclose(got, np.array([[s, -1j * s], [s, 1j * s]]))
 
     def test_fourier_conjugate_orthonormal(self):
-        mub = build_mub(3, 2)
-        conj = mub.bases[1].conj()
+        bases = build_mub(3, 2)
+        conj = bases[1].conj()
         gram = conj.conj() @ conj.T
         assert np.allclose(gram, np.eye(3), atol=1e-12)
 
     def test_involution(self):
-        mub = build_mub(5, 6)
+        bases = build_mub(5, 6)
         for x in range(6):
-            twice = np.conj(mub.bases[x].conj())
+            twice = np.conj(bases[x].conj())
             for a in range(5):
-                assert overlap2(twice[a], mub.bases[x, a]) > 1 - 1e-12
+                assert overlap2(twice[a], bases[x, a]) > 1 - 1e-12
 
 
 def trial_division_is_prime(d):
