@@ -24,7 +24,7 @@ from .bounds import evaluate_bounds, json_float
 from .game import run_exact_quantum, run_monte_carlo
 from .lhs import (DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_TOL,
                   bloch_grid_search, lhs_sup_work)
-from .mub import MubConstructionError, build_mub, check_supported, verify_mub
+from .mub import MubConstructionError, build_mub, check_family, verify_mub
 from .qmath import ATOL
 
 EXIT_OK = 0
@@ -202,7 +202,7 @@ def cmd_scan(args) -> int:
     except ValueError as exc:
         raise ValueError(f"bad --dims list {args.dims!r}: {exc}") from exc
     for d in dims:
-        check_supported(d, d + 1)
+        check_family(d, d + 1)
 
     rows = []
     for d in dims:

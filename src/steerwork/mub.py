@@ -21,6 +21,8 @@ the computational basis (for d = 2 that is the Z eigenbasis).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,16 @@ from .qmath import ATOL
 # A multiple of 4 keeps the tile edges on OpenBLAS's column blocking, so
 # each product is bit-identical to the one of the untiled block row.
 GRAM_TILE = 4
+# Most threads verify_mub scans block rows on. Each one holds its own row,
+# tile product, deviation and tile-max buffers, about 0.45 MiB at d = 61,
+# where the whole scan is held to 1 MiB (test_memory_one_block_row) on any
+# machine, however many CPUs it has.
+MAX_SCAN_WORKERS = 2
+# Largest bases array build_mub allocates, 16*n*d^2 bytes. It is the largest
+# allocation of verify-mub and lhs-opt, so the cap refuses an oversized run
+# before any work starts. Since n >= 2, it also caps d at 5792; odd primes
+# up to d = 401 fit with all d + 1 bases.
+MAX_BASES_BYTES = 2**30
 
 # The primes up to 41 as Miller-Rabin witnesses decide every d below
 # MR_EXACT_BELOW (Sorenson and Webster, 2017).
@@ -113,11 +125,28 @@ def _pauli_bases() -> np.ndarray:
     )
 
 
-def check_supported(d: int, n: int) -> None:
-    """Raise MubConstructionError unless build_mub can construct (d, n)."""
+def check_family(d: int, n: int) -> None:
+    """Raise MubConstructionError unless (d, n) lies in a supported family."""
     if not supported_family(d, n):
         raise MubConstructionError(
             f"(d={d}, n={n}) not available; supported families: {SUPPORTED_FAMILIES}"
+        )
+
+
+def check_supported(d: int, n: int) -> None:
+    """Raise unless build_mub can construct (d, n) within MAX_BASES_BYTES.
+
+    A d or n that is not an int, or bases above the cap, raise ValueError;
+    a (d, n) outside the supported families raises MubConstructionError.
+    """
+    for name, value in (("d", d), ("n", n)):
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    check_family(d, n)
+    if 16 * n * d * d > MAX_BASES_BYTES:
+        raise ValueError(
+            f"(d={d}, n={n}) needs {16 * n * d * d / 2**30:.3g} GiB of bases "
+            f"(16*n*d^2 bytes), above the cap of {MAX_BASES_BYTES / 2**30:g} GiB"
         )
 
 
@@ -126,7 +155,8 @@ def build_mub(d: int, n: int) -> np.ndarray:
 
     Returns the (n, d, d) array bases[x, a, j] = <j|phi_x^a>, so row a of
     bases[x] is vector a of basis x. Raises MubConstructionError when
-    (d, n) falls outside the supported families of the module docstring.
+    (d, n) falls outside the supported families of the module docstring,
+    and ValueError, before allocating, when check_supported refuses it.
     """
     check_supported(d, n)
     if d == 2:
@@ -146,49 +176,129 @@ def build_mub(d: int, n: int) -> np.ndarray:
     return bases
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _scan_buffers(bases: np.ndarray) -> tuple:
+    """One worker's buffers for _block_row: row, product, deviations, block, tile maxima."""
+    n, d = bases.shape[:2]
+    tiles, real = -(-n // GRAM_TILE), bases.real.dtype
+    return (np.empty((d, d), dtype=bases.dtype), np.empty((d, GRAM_TILE * d), dtype=bases.dtype),
+            np.empty((d, GRAM_TILE * d), dtype=real), np.empty((d, d), dtype=real),
+            np.empty((tiles, d)), np.empty((tiles, d), dtype=np.intp))
+
+
+def _block_row(bases, columns, x, row, prod, dev, block, tile_max, tile_col) -> tuple:
+    """Largest deviation of Gram block row x and its first pair (x, a, y, b)."""
+    n, d = bases.shape[:2]
+    cross, width = 1.0 / np.sqrt(d), GRAM_TILE * d
+    np.conjugate(bases[x], out=row)
+    starts = range(x * d, n * d, width)
+    # per tile k and row a: the largest deviation and the column of its
+    # first occurrence; argmax puts a NaN above every number
+    for k, start in enumerate(starts):
+        w = min(width, n * d - start)
+        # Contiguous views of the buffers' heads: a ufunc on a 2-D slice
+        # such as [:, :w] allocates iteration buffers of up to 128 KiB,
+        # while a copy between slices allocates nothing.
+        p = prod.reshape(-1)[:d * w].reshape(d, w)
+        v = dev.reshape(-1)[:d * w].reshape(d, w)
+        np.matmul(row, columns[:, start:start + w], out=p)
+        np.abs(p, out=v)
+        if k == 0:
+            # basis x against itself expects the identity
+            np.copyto(block, v[:, :d])
+            v -= cross
+            np.copyto(v[:, :d], block)
+            v.reshape(-1)[::w + 1][:d] -= 1.0
+        else:
+            v -= cross
+        np.abs(v, out=v)
+        np.argmax(v, axis=1, out=tile_col[k])
+        tile_max[k] = np.take_along_axis(v, tile_col[k, :, None], axis=1)[:, 0]
+    # the first tile holding each row's maximum, then the first such row
+    tile_max = tile_max[:len(starts)]
+    k = np.argmax(tile_max, axis=0)
+    a = int(np.argmax(tile_max.max(axis=0)))
+    col = int(k[a]) * width + int(tile_col[k[a], a])
+    return float(tile_max[k[a], a]), (x, a, x + col // d, col % d)
+
+
 def verify_mub(bases: np.ndarray, tol: float = ATOL) -> MubVerification:
     """Check the defining overlap relations of the (n, d, d) bases array.
 
     Report-style: never raises on a bad set, just flags it with the worst
-    deviation and the indices where it occurs. Nothing else is validated,
-    so corrupted sets can be checked too.
+    deviation and the indices where it occurs; only an array that is not
+    (n, d, d) raises ValueError. Nothing else is validated, so corrupted
+    sets can be checked too.
 
     Basis x is compared with bases y >= x only, since |<u|v>| = |<v|u>|,
     and each block row of the Gram matrix is built GRAM_TILE bases at a
-    time, so memory peaks at one d x GRAM_TILE*d tile. worst_pair is the
-    first worst pair in (x, a, y, b) order; pairs whose deviations tie to
-    rounding may be named differently than by a full-matrix scan. A NaN
-    anywhere makes max_deviation NaN and the set fail.
+    time, so memory peaks at one d x GRAM_TILE*d tile per worker. Block
+    rows are shared among min(MAX_SCAN_WORKERS, usable CPUs, n) threads,
+    the caller included, longest first; every thread runs under the
+    caller's np.geterr(), and the first exception one raises is re-raised
+    here once all have finished. The rows are merged in x order, so the
+    result does not depend on the number of threads: worst_pair is the
+    first worst pair in (x, a, y, b) order, where pairs whose deviations
+    tie to rounding may be named differently than by a full-matrix scan. A
+    NaN anywhere makes max_deviation NaN and the set fail.
     """
+    if bases.ndim != 3 or bases.shape[1] != bases.shape[2] or bases.size == 0:
+        raise ValueError(f"bases must be a non-empty (n, d, d) array, got shape {bases.shape}")
     n, d = bases.shape[:2]
     columns = bases.reshape(n * d, d).T
-    cross = 1.0 / np.sqrt(d)
+    # per block row x: its largest deviation and first pair, None if unscanned
+    rows = [None] * n
+    next_row, lock, errors, err = [0], threading.Lock(), [], np.geterr()
+
+    def claim(stop: bool = False) -> int:
+        """The next block row to scan, n once none is left or after a stop."""
+        with lock:
+            x = next_row[0]
+            next_row[0] = n if stop else min(x + 1, n)
+            return x
+
+    def scan(buffers) -> None:
+        while (x := claim()) < n:
+            rows[x] = _block_row(bases, columns, x, *buffers)
+            if math.isnan(rows[x][0]):
+                claim(stop=True)  # every earlier row is out already; no later one can win
+
+    def helper(buffers) -> None:
+        try:
+            with np.errstate(**err):  # errstate is per thread
+                scan(buffers)
+        except BaseException as exc:  # re-raised in the caller below
+            errors.append(exc)
+            claim(stop=True)
+
+    helpers = [_scan_buffers(bases) for _ in range(min(MAX_SCAN_WORKERS, _usable_cpus(), n) - 1)]
+    started = []
+    try:
+        for buffers in helpers:
+            started.append(threading.Thread(target=helper, args=(buffers,)))
+            started[-1].start()
+        scan(_scan_buffers(bases))
+    except BaseException:
+        claim(stop=True)
+        raise
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+
     max_dev, worst = -np.inf, (0, 0, 0, 0)
-    for x in range(n):
-        row = bases[x].conj()
-        starts = range(x * d, n * d, GRAM_TILE * d)
-        # per tile k and row a: the largest deviation and the column of its
-        # first occurrence; max and argmax both put a NaN above every number
-        tile_max = np.empty((len(starts), d))
-        tile_col = np.empty((len(starts), d), dtype=np.intp)
-        for k, start in enumerate(starts):
-            dev = np.abs(row @ columns[:, start:start + GRAM_TILE * d])
-            if k == 0:
-                dev[:, :d] -= np.eye(d)
-                dev[:, d:] -= cross
-            else:
-                dev -= cross
-            np.abs(dev, out=dev)
-            np.argmax(dev, axis=1, out=tile_col[k])
-            np.max(dev, axis=1, out=tile_max[k])
-        # the first tile holding each row's maximum, then the first such row
-        k = np.argmax(tile_max, axis=0)
-        a = int(np.argmax(tile_max.max(axis=0)))
-        block_dev = float(tile_max[k[a], a])
-        col = int(k[a]) * GRAM_TILE * d + int(tile_col[k[a], a])
-        # argmax returns a block's first NaN, but `>` never picks one up
+    for block_dev, pair in rows:
+        # `>` never picks up a NaN, so the first NaN row is taken explicitly
         if block_dev > max_dev or math.isnan(block_dev):
-            max_dev, worst = block_dev, (x, a, x + col // d, col % d)
+            max_dev, worst = block_dev, pair
             if math.isnan(block_dev):
                 break
     return MubVerification(passed=max_dev <= tol, max_deviation=max_dev, worst_pair=worst)

@@ -10,6 +10,7 @@ import pytest
 
 from steerwork.cli import build_parser, main
 from steerwork.mub import SUPPORTED_FAMILIES as FAMILIES
+from steerwork.mub import check_supported
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
 
@@ -453,6 +454,22 @@ class TestHugeDimension:
         assert code == expected
         if expected:
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-mub"], ["lhs-opt"], ["simulate"], ["simulate", "--shots", "10"],
+    ])
+    def test_oversized_bases_refused_before_allocation(self, capsys, argv):
+        # 15.3 GiB of bases; the cap refuses them with no address-space limit.
+        # Checked on the library first, so a broken cap fails here, not in
+        # an allocation of that size.
+        with pytest.raises(ValueError, match="cap"):
+            check_supported(1009, 1010)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--dim", "1009", "--n-bases", "1010")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == ("error: (d=1009, n=1010) needs 15.3 GiB of bases (16*n*d^2 bytes), "
+                       "above the cap of 1 GiB\n")
 
     def test_undecided_primality_is_named(self, capsys):
         _, _, err = run_cli(capsys, "scan", "--dims", UNDECIDED)

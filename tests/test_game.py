@@ -388,6 +388,17 @@ class TestRunExactQuantum:
         with pytest.raises(RuntimeError, match="deviates from the quantum ceiling"):
             run_exact_quantum(d=3, n=4)
 
+    @pytest.mark.parametrize("d, n, message", [
+        (2.5, 3, "d must be an int, got 2.5"),
+        (3.0, 4, "d must be an int, got 3.0"),
+        (3, 4.0, "n must be an int, got 4.0"),
+    ])
+    def test_non_integer_parameter_is_named(self, d, n, message):
+        for run in (run_exact_quantum, lambda d, n: run_monte_carlo(d, n, shots=10)):
+            with pytest.raises(ValueError) as err:
+                run(d, n)
+            assert str(err.value) == message
+
     def test_memory_no_full_size_temporary(self):
         # rho_AB and the stacked effects take about 4.5 MB each at d = 23;
         # one more temporary of that size would cross the limit

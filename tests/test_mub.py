@@ -1,15 +1,21 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import mub_first_worst_pair, overlap2
+import steerwork.mub as mub
 from steerwork.mub import (
     GRAM_TILE,
+    MAX_BASES_BYTES,
     MubConstructionError,
     SUPPORTED_FAMILIES,
     build_mub,
+    check_supported,
     MR_EXACT_BELOW,
     is_prime,
     supported_family,
@@ -93,6 +99,32 @@ class TestBuildMub:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * bases.nbytes, f"peak {peak / bases.nbytes:.2f} x the bases"
+
+    @pytest.mark.parametrize("d, n, message", [
+        (2.5, 3, "d must be an int, got 2.5"),
+        (3.0, 4, "d must be an int, got 3.0"),
+        (3, 4.0, "n must be an int, got 4.0"),
+        (np.int64(5), 6, "d must be an int, got np.int64(5)"),
+    ])
+    def test_non_integer_parameter_is_named(self, d, n, message):
+        with pytest.raises(ValueError) as err:
+            build_mub(d, n)
+        assert not isinstance(err.value, MubConstructionError)
+        assert str(err.value) == message
+
+    def test_cap_on_the_bases(self):
+        # 16 n d^2 bytes: d = 401 with all d + 1 bases fits, d = 409 does not;
+        # with n = 2 the cap bounds d itself
+        check_supported(401, 402)
+        check_supported(5792, 2)
+        assert 16 * 402 * 401**2 <= MAX_BASES_BYTES < 16 * 410 * 409**2
+        for d, n, size in [(409, 410, "1.02"), (1009, 1010, "15.3"), (5793, 2, "1"),
+                           (10**18 + 3, 3, "4.47e+28")]:
+            with pytest.raises(ValueError) as err:
+                check_supported(d, n)
+            assert not isinstance(err.value, MubConstructionError)
+            assert str(err.value) == (f"(d={d}, n={n}) needs {size} GiB of bases "
+                                      "(16*n*d^2 bytes), above the cap of 1 GiB")
 
     def test_error_names_supported_families(self):
         with pytest.raises(MubConstructionError, match="odd prime"):
@@ -220,6 +252,12 @@ class TestVerifyMub:
         assert report.passed
         assert peak < 2**20, f"peak allocation {peak / 2**20:.2f} MB"
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (0, 3, 3), (2, 0, 0), (1, 2, 2, 2)])
+    def test_rejects_wrong_shape(self, shape):
+        with pytest.raises(ValueError) as err:
+            verify_mub(np.zeros(shape, dtype=complex))
+        assert str(err.value) == f"bases must be a non-empty (n, d, d) array, got shape {shape}"
+
     def test_tolerance_semantics(self):
         # rounding noise sits around 1e-16, so an absurdly tight tolerance fails
         assert verify_mub(build_mub(7, 8), tol=1e-10).passed
@@ -289,3 +327,85 @@ class TestMisc:
         # MR_EXACT_BELOW itself is a strong pseudoprime to every witness
         with pytest.raises(ValueError, match="not decided"):
             is_prime(MR_EXACT_BELOW)
+
+
+def verify_on(monkeypatch, cpus, bases):
+    monkeypatch.setattr(mub, "_usable_cpus", lambda: cpus)
+    return verify_mub(bases)
+
+
+def exact(report):
+    return report.passed, float(report.max_deviation).hex(), report.worst_pair
+
+
+class TestParallelScan:
+    def test_memory_on_many_cpus(self, monkeypatch):
+        # MAX_SCAN_WORKERS bounds the workers, and with them the peak, on
+        # machines with more CPUs than this one
+        monkeypatch.setattr(mub, "_usable_cpus", lambda: 8)
+        bases = build_mub(61, 62)
+        tracemalloc.start()
+        try:
+            report = verify_mub(bases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 2**20, f"peak allocation {peak / 2**20:.2f} MB"
+
+    @pytest.mark.parametrize("d,n", [(d, n) for d in range(2, 14) for n in range(2, d + 2)
+                                     if supported_family(d, n)])
+    def test_one_worker_equals_two(self, monkeypatch, d, n):
+        bases = build_mub(d, n)
+        assert exact(verify_on(monkeypatch, 1, bases)) == exact(verify_on(monkeypatch, 2, bases))
+
+    def test_helper_error_reaches_caller(self, monkeypatch):
+        # an infinite amplitude in the last basis makes every block row NaN;
+        # under the caller's errstate each thread raises, whichever scans it
+        bases = build_mub(13, 14).copy()
+        bases[13, 4, 7] = np.inf
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        monkeypatch.setattr(mub, "_usable_cpus", lambda: 2)
+        before = threading.active_count()
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            verify_mub(bases)
+        assert threading.active_count() == before
+        assert escaped == []
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_first_error_raised_after_join(self, monkeypatch, failing):
+        # the failing thread raises at its first product, the other one keeps
+        # scanning; either error reaches the caller only once both have ended
+        caller, matmul = threading.get_ident(), np.matmul
+
+        def product(*args, **kwargs):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise KeyError(failing)
+            time.sleep(1e-3)  # so that the failing thread gets a row
+            return matmul(*args, **kwargs)
+
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        monkeypatch.setattr(np, "matmul", product)
+        monkeypatch.setattr(mub, "_usable_cpus", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(KeyError, match=failing):
+            verify_mub(build_mub(13, 14))
+        assert threading.active_count() == before
+        assert escaped == []
+
+    def test_shared_row_counter_under_contention(self, monkeypatch):
+        # more workers than CPUs and a short switch interval; a row lost or
+        # scanned out of turn would move the planted worst pair or crash the merge
+        monkeypatch.setattr(mub, "MAX_SCAN_WORKERS", 6)
+        bases = build_mub(11, 12).copy()
+        bases[9, 3, 5] = 0.0
+        reference = exact(verify_on(monkeypatch, 1, bases))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert exact(verify_on(monkeypatch, 6, bases)) == reference
+        finally:
+            sys.setswitchinterval(interval)
