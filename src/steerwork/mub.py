@@ -20,7 +20,9 @@ the computational basis (for d = 2 that is the Z eigenbasis).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -39,6 +41,11 @@ GRAM_TILE = 4
 # where the whole scan is held to 1 MiB (test_memory_one_block_row) on any
 # machine, however many CPUs it has.
 MAX_SCAN_WORKERS = 2
+# Functions by which OpenBLAS reports the threads it runs one product on:
+# the scipy-openblas of numpy's wheels, 64-bit-index and plain builds.
+OPENBLAS_THREAD_GETTERS = (
+    "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads",
+)
 # Largest bases array build_mub allocates, 16*n*d^2 bytes. It is the largest
 # allocation of verify-mub and lhs-opt, so the cap refuses an oversized run
 # before any work starts. Since n >= 2, it also caps d at 5792; odd primes
@@ -133,21 +140,29 @@ def check_family(d: int, n: int) -> None:
         )
 
 
-def check_supported(d: int, n: int) -> None:
-    """Raise unless build_mub can construct (d, n) within MAX_BASES_BYTES.
+def _as_int(name: str, value) -> int:
+    """value as a Python int; ValueError naming the parameter if it is not integral."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an int, got {value!r}") from None
 
-    A d or n that is not an int, or bases above the cap, raise ValueError;
-    a (d, n) outside the supported families raises MubConstructionError.
+
+def check_supported(d: int, n: int) -> tuple[int, int]:
+    """(d, n) as Python ints, if build_mub can construct them within MAX_BASES_BYTES.
+
+    A d or n that is not integral (numpy integers are), or bases above the
+    cap, raise ValueError; a (d, n) outside the supported families raises
+    MubConstructionError.
     """
-    for name, value in (("d", d), ("n", n)):
-        if not isinstance(value, int):
-            raise ValueError(f"{name} must be an int, got {value!r}")
+    d, n = _as_int("d", d), _as_int("n", n)
     check_family(d, n)
     if 16 * n * d * d > MAX_BASES_BYTES:
         raise ValueError(
             f"(d={d}, n={n}) needs {16 * n * d * d / 2**30:.3g} GiB of bases "
             f"(16*n*d^2 bytes), above the cap of {MAX_BASES_BYTES / 2**30:g} GiB"
         )
+    return d, n
 
 
 def build_mub(d: int, n: int) -> np.ndarray:
@@ -158,7 +173,7 @@ def build_mub(d: int, n: int) -> np.ndarray:
     (d, n) falls outside the supported families of the module docstring,
     and ValueError, before allocating, when check_supported refuses it.
     """
-    check_supported(d, n)
+    d, n = check_supported(d, n)
     if d == 2:
         return _pauli_bases()[:n]
     # Vector a of basis x has j-th component d^{-1/2} exp(2 pi i (x j^2 + a j)/d):
@@ -182,6 +197,54 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_thread_getters() -> tuple:
+    """The thread-count function of each OpenBLAS the process has loaded.
+
+    Found through /proc/self/maps, so empty off Linux and for other BLAS
+    libraries. numpy loads its BLAS on import, so the set does not change.
+    """
+    import ctypes  # numpy has imported it already
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    getters = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in OPENBLAS_THREAD_GETTERS:
+            if hasattr(lib, symbol):
+                getter = getattr(lib, symbol)
+                getter.restype = ctypes.c_int
+                getters.append(getter)
+                break
+    return tuple(getters)
+
+
+def _blas_threads() -> int | None:
+    """Most threads a loaded OpenBLAS runs one product on now; None if unknown."""
+    getters = _openblas_thread_getters()
+    return max(getter() for getter in getters) if getters else None
+
+
+def _scan_workers(n: int) -> int:
+    """Threads verify_mub scans n block rows on.
+
+    More than one only where BLAS is known to run each product on one
+    thread: a threaded BLAS already spreads each tile product over the
+    CPUs, and threads of both kinds on the same CPUs contend (on 2 CPUs at
+    d = 61, two workers took 135 ms against 118 ms on one).
+    """
+    if _blas_threads() != 1:
+        return 1
+    return min(MAX_SCAN_WORKERS, _usable_cpus(), n)
 
 
 def _scan_buffers(bases: np.ndarray) -> tuple:
@@ -239,9 +302,10 @@ def verify_mub(bases: np.ndarray, tol: float = ATOL) -> MubVerification:
 
     Basis x is compared with bases y >= x only, since |<u|v>| = |<v|u>|,
     and each block row of the Gram matrix is built GRAM_TILE bases at a
-    time, so memory peaks at one d x GRAM_TILE*d tile per worker. Block
-    rows are shared among min(MAX_SCAN_WORKERS, usable CPUs, n) threads,
-    the caller included, longest first; every thread runs under the
+    time, so memory peaks at one d x GRAM_TILE*d tile per worker. Where
+    BLAS runs on one thread, block rows are shared among
+    min(MAX_SCAN_WORKERS, usable CPUs, n) threads, the caller included,
+    longest first (see _scan_workers); every thread runs under the
     caller's np.geterr(), and the first exception one raises is re-raised
     here once all have finished. The rows are merged in x order, so the
     result does not depend on the number of threads: worst_pair is the
@@ -253,7 +317,7 @@ def verify_mub(bases: np.ndarray, tol: float = ATOL) -> MubVerification:
         raise ValueError(f"bases must be a non-empty (n, d, d) array, got shape {bases.shape}")
     n, d = bases.shape[:2]
     columns = bases.reshape(n * d, d).T
-    # per block row x: its largest deviation and first pair, None if unscanned
+    # per block row x: its largest deviation and first pair
     rows = [None] * n
     next_row, lock, errors, err = [0], threading.Lock(), [], np.geterr()
 
@@ -267,8 +331,6 @@ def verify_mub(bases: np.ndarray, tol: float = ATOL) -> MubVerification:
     def scan(buffers) -> None:
         while (x := claim()) < n:
             rows[x] = _block_row(bases, columns, x, *buffers)
-            if math.isnan(rows[x][0]):
-                claim(stop=True)  # every earlier row is out already; no later one can win
 
     def helper(buffers) -> None:
         try:
@@ -278,7 +340,7 @@ def verify_mub(bases: np.ndarray, tol: float = ATOL) -> MubVerification:
             errors.append(exc)
             claim(stop=True)
 
-    helpers = [_scan_buffers(bases) for _ in range(min(MAX_SCAN_WORKERS, _usable_cpus(), n) - 1)]
+    helpers = [_scan_buffers(bases) for _ in range(_scan_workers(n) - 1)]
     started = []
     try:
         for buffers in helpers:

@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -12,6 +14,7 @@ import steerwork.mub as mub
 from steerwork.mub import (
     GRAM_TILE,
     MAX_BASES_BYTES,
+    MAX_SCAN_WORKERS,
     MubConstructionError,
     SUPPORTED_FAMILIES,
     build_mub,
@@ -104,13 +107,24 @@ class TestBuildMub:
         (2.5, 3, "d must be an int, got 2.5"),
         (3.0, 4, "d must be an int, got 3.0"),
         (3, 4.0, "n must be an int, got 4.0"),
-        (np.int64(5), 6, "d must be an int, got np.int64(5)"),
+        (np.float64(5.0), 6, "d must be an int, got np.float64(5.0)"),
     ])
     def test_non_integer_parameter_is_named(self, d, n, message):
         with pytest.raises(ValueError) as err:
             build_mub(d, n)
         assert not isinstance(err.value, MubConstructionError)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("d, n", [(5, 6), (7, 2), (2, 3), (43, 44), (10**9, 2)])
+    def test_numpy_integers_are_accepted(self, d, n):
+        if 16 * n * d * d > MAX_BASES_BYTES:
+            # converted before the cap, so 16 n d^2 cannot wrap around in int64
+            with pytest.raises(ValueError, match="above the cap"):
+                build_mub(np.int64(d), np.int32(n))
+            return
+        ints = check_supported(np.int64(d), np.int32(n))
+        assert ints == (d, n) and all(type(v) is int for v in ints)
+        assert np.array_equal(build_mub(np.int64(d), np.int32(n)), build_mub(d, n))
 
     def test_cap_on_the_bases(self):
         # 16 n d^2 bytes: d = 401 with all d + 1 bases fits, d = 409 does not;
@@ -338,7 +352,49 @@ def exact(report):
     return report.passed, float(report.max_deviation).hex(), report.worst_pair
 
 
+BLAS_THREADS_PROBE = (
+    "import steerwork.mub as mub; print(mub._blas_threads(), mub._scan_workers(62))"
+)
+
+
+class TestScanWorkers:
+    @pytest.mark.parametrize("blas", [None, 2, 4])
+    def test_one_worker_beside_a_threaded_or_unknown_blas(self, monkeypatch, blas):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a helper thread was started")
+
+        monkeypatch.setattr(mub, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        bases = build_mub(13, 14)
+        assert exact(verify_on(monkeypatch, 8, bases)) == exact(verify_on(monkeypatch, 1, bases))
+
+    def test_two_workers_beside_a_one_thread_blas(self, monkeypatch):
+        monkeypatch.setattr(mub, "_blas_threads", lambda: 1)
+        for cpus, n, workers in [(1, 62, 1), (2, 62, 2), (8, 62, MAX_SCAN_WORKERS), (8, 1, 1)]:
+            monkeypatch.setattr(mub, "_usable_cpus", lambda: cpus)
+            assert mub._scan_workers(n) == workers
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blas_threads_read_from_openblas(self, threads):
+        # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, and
+        # runs on no more threads than the process has CPUs
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE], env=env,
+                             capture_output=True, text=True, check=True).stdout.split()
+        if out[0] == "None":
+            pytest.skip("numpy's BLAS is not an OpenBLAS found in /proc/self/maps")
+        cpus = len(os.sched_getaffinity(0))
+        blas = min(threads, cpus)
+        workers = min(MAX_SCAN_WORKERS, cpus) if blas == 1 else 1
+        assert out == [str(blas), str(workers)]
+
+
 class TestParallelScan:
+    @pytest.fixture(autouse=True)
+    def one_thread_blas(self, monkeypatch):
+        # the helpers start only beside a BLAS that runs on one thread
+        monkeypatch.setattr(mub, "_blas_threads", lambda: 1)
     def test_memory_on_many_cpus(self, monkeypatch):
         # MAX_SCAN_WORKERS bounds the workers, and with them the peak, on
         # machines with more CPUs than this one
@@ -372,6 +428,23 @@ class TestParallelScan:
             verify_mub(bases)
         assert threading.active_count() == before
         assert escaped == []
+
+    def test_helper_runs_under_callers_errstate(self, monkeypatch):
+        # np.errstate is per thread; a helper must scan its rows under the caller's
+        seen, block_row = {}, mub._block_row
+
+        def recording(*args):
+            seen.setdefault(threading.get_ident(), set()).add(tuple(sorted(np.geterr().items())))
+            time.sleep(1e-3)  # so that both threads get rows
+            return block_row(*args)
+
+        monkeypatch.setattr(mub, "_block_row", recording)
+        monkeypatch.setattr(mub, "_usable_cpus", lambda: 2)
+        with np.errstate(invalid="raise", over="ignore", under="warn"):
+            caller = tuple(sorted(np.geterr().items()))
+            assert verify_mub(build_mub(13, 14)).passed
+        assert len(seen) == 2
+        assert all(states == {caller} for states in seen.values())
 
     @pytest.mark.parametrize("failing", ["helper", "caller"])
     def test_first_error_raised_after_join(self, monkeypatch, failing):
