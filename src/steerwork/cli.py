@@ -82,7 +82,7 @@ def _render(args, payload, rows: list[dict], text: list[str]) -> None:
                         + [",".join(_csv_cell(v) for v in row.values()) for row in rows])
     else:
         out = "\n".join(text)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(out + "\n")
     else:

@@ -36,8 +36,8 @@ from .qmath import ATOL
 # A multiple of 4 keeps the tile edges on OpenBLAS's column blocking, so
 # each product is bit-identical to the one of the untiled block row.
 GRAM_TILE = 4
-# Most threads verify_mub scans block rows on. Each one holds its own row,
-# tile product, deviation and tile-max buffers, about 0.45 MiB at d = 61,
+# Most threads verify_mub scans block rows on. Each block row allocates its
+# row, tile product, deviation and tile-max buffers, 0.45 MiB at d = 61,
 # where the whole scan is held to 1 MiB (test_memory_one_block_row) on any
 # machine, however many CPUs it has.
 MAX_SCAN_WORKERS = 2
@@ -247,30 +247,22 @@ def _scan_workers(n: int) -> int:
     return min(MAX_SCAN_WORKERS, _usable_cpus(), n)
 
 
-def _scan_buffers(bases: np.ndarray) -> tuple:
-    """One worker's buffers for _block_row: row, product, deviations, block, tile maxima."""
-    n, d = bases.shape[:2]
-    tiles, real = -(-n // GRAM_TILE), bases.real.dtype
-    return (np.empty((d, d), dtype=bases.dtype), np.empty((d, GRAM_TILE * d), dtype=bases.dtype),
-            np.empty((d, GRAM_TILE * d), dtype=real), np.empty((d, d), dtype=real),
-            np.empty((tiles, d)), np.empty((tiles, d), dtype=np.intp))
-
-
-def _block_row(bases, columns, x, row, prod, dev, block, tile_max, tile_col) -> tuple:
+def _block_row(bases: np.ndarray, columns: np.ndarray, x: int) -> tuple:
     """Largest deviation of Gram block row x and its first pair (x, a, y, b)."""
     n, d = bases.shape[:2]
-    cross, width = 1.0 / np.sqrt(d), GRAM_TILE * d
-    np.conjugate(bases[x], out=row)
+    cross, width, real = 1.0 / np.sqrt(d), GRAM_TILE * d, bases.real.dtype
     starts = range(x * d, n * d, width)
+    row, block = np.conjugate(bases[x], order="C"), np.empty((d, d), dtype=real)
+    prod, dev = np.empty(d * width, dtype=bases.dtype), np.empty(d * width, dtype=real)
     # per tile k and row a: the largest deviation and the column of its
     # first occurrence; argmax puts a NaN above every number
+    tile_max, tile_col = np.empty((len(starts), d)), np.empty((len(starts), d), dtype=np.intp)
     for k, start in enumerate(starts):
         w = min(width, n * d - start)
         # Contiguous views of the buffers' heads: a ufunc on a 2-D slice
         # such as [:, :w] allocates iteration buffers of up to 128 KiB,
         # while a copy between slices allocates nothing.
-        p = prod.reshape(-1)[:d * w].reshape(d, w)
-        v = dev.reshape(-1)[:d * w].reshape(d, w)
+        p, v = prod[:d * w].reshape(d, w), dev[:d * w].reshape(d, w)
         np.matmul(row, columns[:, start:start + w], out=p)
         np.abs(p, out=v)
         if k == 0:
@@ -285,7 +277,6 @@ def _block_row(bases, columns, x, row, prod, dev, block, tile_max, tile_col) -> 
         np.argmax(v, axis=1, out=tile_col[k])
         tile_max[k] = np.take_along_axis(v, tile_col[k, :, None], axis=1)[:, 0]
     # the first tile holding each row's maximum, then the first such row
-    tile_max = tile_max[:len(starts)]
     k = np.argmax(tile_max, axis=0)
     a = int(np.argmax(tile_max.max(axis=0)))
     col = int(k[a]) * width + int(tile_col[k[a], a])
@@ -306,12 +297,13 @@ def verify_mub(bases: np.ndarray, tol: float = ATOL) -> MubVerification:
     BLAS runs on one thread, block rows are shared among
     min(MAX_SCAN_WORKERS, usable CPUs, n) threads, the caller included,
     longest first (see _scan_workers); every thread runs under the
-    caller's np.geterr(), and the first exception one raises is re-raised
-    here once all have finished. The rows are merged in x order, so the
-    result does not depend on the number of threads: worst_pair is the
-    first worst pair in (x, a, y, b) order, where pairs whose deviations
-    tie to rounding may be named differently than by a full-matrix scan. A
-    NaN anywhere makes max_deviation NaN and the set fail.
+    caller's np.geterr(), an exception stops each at its next row, and the
+    first is re-raised here once all have finished. The rows are merged in
+    x order, so the result does not depend on the number of threads:
+    worst_pair is the first worst pair in (x, a, y, b) order, where pairs
+    whose deviations tie to rounding may be named differently than by a
+    full-matrix scan. A NaN anywhere makes max_deviation NaN and the set
+    fail.
     """
     if bases.ndim != 3 or bases.shape[1] != bases.shape[2] or bases.size == 0:
         raise ValueError(f"bases must be a non-empty (n, d, d) array, got shape {bases.shape}")
@@ -319,40 +311,26 @@ def verify_mub(bases: np.ndarray, tol: float = ATOL) -> MubVerification:
     columns = bases.reshape(n * d, d).T
     # per block row x: its largest deviation and first pair
     rows = [None] * n
-    next_row, lock, errors, err = [0], threading.Lock(), [], np.geterr()
+    order, lock, errors, err = iter(range(n)), threading.Lock(), [], np.geterr()
 
-    def claim(stop: bool = False) -> int:
-        """The next block row to scan, n once none is left or after a stop."""
-        with lock:
-            x = next_row[0]
-            next_row[0] = n if stop else min(x + 1, n)
-            return x
-
-    def scan(buffers) -> None:
-        while (x := claim()) < n:
-            rows[x] = _block_row(bases, columns, x, *buffers)
-
-    def helper(buffers) -> None:
+    def scan() -> None:
         try:
             with np.errstate(**err):  # errstate is per thread
-                scan(buffers)
-        except BaseException as exc:  # re-raised in the caller below
+                while not errors:
+                    with lock:
+                        x = next(order, n)
+                    if x == n:
+                        return
+                    rows[x] = _block_row(bases, columns, x)
+        except BaseException as exc:  # re-raised below, once every thread has ended
             errors.append(exc)
-            claim(stop=True)
 
-    helpers = [_scan_buffers(bases) for _ in range(_scan_workers(n) - 1)]
-    started = []
-    try:
-        for buffers in helpers:
-            started.append(threading.Thread(target=helper, args=(buffers,)))
-            started[-1].start()
-        scan(_scan_buffers(bases))
-    except BaseException:
-        claim(stop=True)
-        raise
-    finally:
-        for thread in started:
-            thread.join()
+    helpers = [threading.Thread(target=scan) for _ in range(_scan_workers(n) - 1)]
+    for thread in helpers:
+        thread.start()
+    scan()
+    for thread in helpers:
+        thread.join()
     if errors:
         raise errors[0]
 

@@ -468,6 +468,31 @@ class TestParallelScan:
         assert threading.active_count() == before
         assert escaped == []
 
+    def test_interrupt_raised_after_join(self, monkeypatch):
+        # a KeyboardInterrupt in the caller's own scan reaches the caller only
+        # once the helper has ended, which then scans nothing more
+        caller, matmul, helper_products = threading.get_ident(), np.matmul, []
+
+        def product(*args, **kwargs):
+            if threading.get_ident() == caller:
+                raise KeyboardInterrupt
+            time.sleep(1e-3)
+            helper_products.append(args)
+            return matmul(*args, **kwargs)
+
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        monkeypatch.setattr(np, "matmul", product)
+        monkeypatch.setattr(mub, "_usable_cpus", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            verify_mub(build_mub(13, 14))
+        products = len(helper_products)
+        assert threading.active_count() == before
+        time.sleep(0.02)
+        assert len(helper_products) == products
+        assert escaped == []
+
     def test_shared_row_counter_under_contention(self, monkeypatch):
         # more workers than CPUs and a short switch interval; a row lost or
         # scanned out of turn would move the planted worst pair or crash the merge
