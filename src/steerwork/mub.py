@@ -36,8 +36,8 @@ from .qmath import ATOL
 # A multiple of 4 keeps the tile edges on OpenBLAS's column blocking, so
 # each product is bit-identical to the one of the untiled block row.
 GRAM_TILE = 4
-# Most threads verify_mub scans block rows on. Each block row allocates its
-# row, tile product, deviation and tile-max buffers, 0.45 MiB at d = 61,
+# Most threads verify_mub scans block rows on. Each holds the buffers of one
+# block row at a time (row, tile product, deviations), 0.45 MiB at d = 61,
 # where the whole scan is held to 1 MiB (test_memory_one_block_row) on any
 # machine, however many CPUs it has.
 MAX_SCAN_WORKERS = 2

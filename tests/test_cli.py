@@ -386,7 +386,6 @@ def test_out_to_missing_directory(capsys, tmp_path):
     assert not target.exists()
 
 
-
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_empty_out_path_is_an_error(capsys, fmt):
     # an empty path, as from --out "$UNSET", must not fall back to stdout
@@ -394,6 +393,7 @@ def test_empty_out_path_is_an_error(capsys, fmt):
                              "--format", fmt, "--out", "")
     assert (code, out) == (2, "")
     assert err == "error: [Errno 2] No such file or directory: ''\n"
+
 
 @pytest.mark.parametrize("raised, detail", [
     (MemoryError("Unable to allocate 23.8 GiB"), "Unable to allocate 23.8 GiB"),
