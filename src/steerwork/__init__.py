@@ -11,20 +11,20 @@ independent optimizer.
 
 from .bounds import BoundSet, evaluate_bounds
 from .game import WorkReport, run_exact_quantum
-from .lhs import OptimizerResult, bloch_grid_search, lhs_sup_work, optimize_single_state
+from .lhs import OptimizerResult, lhs_sup_work, optimize_single_state, qubit_oracle
 from .mub import MubConstructionError, build_mub
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "BoundSet",
     "MubConstructionError",
     "OptimizerResult",
     "WorkReport",
-    "bloch_grid_search",
     "build_mub",
     "evaluate_bounds",
     "lhs_sup_work",
     "optimize_single_state",
+    "qubit_oracle",
     "run_exact_quantum",
 ]

@@ -23,7 +23,7 @@ import sys
 from .bounds import evaluate_bounds, json_float
 from .game import run_exact_quantum, run_monte_carlo
 from .lhs import (DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_TOL,
-                  bloch_grid_search, lhs_sup_work)
+                  lhs_sup_work, qubit_oracle)
 from .mub import MubConstructionError, build_mub, check_family, verify_mub
 from .qmath import ATOL
 
@@ -224,7 +224,7 @@ def cmd_lhs_opt(args) -> int:
         bases, args.omega, args.beta, restarts=args.restarts, tol=args.tol,
         max_iter=args.max_iter, seed=args.seed)
     gap = bound - achievable
-    oracle = bloch_grid_search(bases) if args.dim == 2 else None
+    oracle = qubit_oracle(bases) if args.dim == 2 else None
     agreement = abs(oracle.objective - result.objective) if oracle else None
 
     head = {"d": args.dim, "n": args.n_bases, "omega": args.omega, "beta": json_float(args.beta)}
@@ -272,7 +272,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: not enough memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,14 +15,16 @@ no assemblage is built here. Finding the best pure state is the nonconvex
 problem max_psi (1/n) sum_x max_a |<phi_x^a|psi>|^2, handled by
 alternating maximization with random restarts: the bases are conjugated
 once per call, and one overlap table per iterate gives both the objective
-and the next picks. An exhaustive Bloch-sphere grid, with its own
-contraction, is the independent oracle at d = 2. General
-hidden-state models and the full game pipeline on them live in
-tests/oracles.py, where the tests check this closed form against them.
+and the next picks. The optimum is the largest lambda_max of
+(1/n) sum_x |phi_x^{a(x)}><phi_x^{a(x)}| over the d^n pick functions a(x);
+qubit_oracle enumerates the 2^n of them at d = 2. General hidden-state
+models, the game pipeline on them and a Bloch-sphere grid search live in
+tests/oracles.py, where the tests check these closed forms against them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,12 +35,6 @@ from .qmath import principal_eigenvector, random_pure_state
 
 # Defaults of optimize_single_state, which the lhs-opt flags share.
 DEFAULT_RESTARTS, DEFAULT_TOL, DEFAULT_MAX_ITER, DEFAULT_SEED = 32, 1e-12, 500, 0
-
-# Points per axis of bloch_grid_search's initial (theta, phi) grid, and
-# theta rows per tile it is evaluated in: a 20 x 500 tile peaks near
-# 2 MB, the whole grid at once near 46 MB.
-BLOCH_RESOLUTION = 500
-BLOCH_TILE = 20
 
 
 @dataclass
@@ -68,6 +64,17 @@ class OptimizerResult:
         }
 
 
+def _overlaps(conj: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, float]:
+    """Overlap table |<phi_x^a|psi>|^2 from the conjugated bases, and its objective."""
+    amps = np.abs(conj @ psi) ** 2
+    return amps, float(amps.max(axis=1).mean())
+
+
+def _pick_state(picked: np.ndarray) -> np.ndarray:
+    """Principal eigenvector of the average projector of one picked vector per basis."""
+    return principal_eigenvector(picked.T @ picked.conj() / len(picked))
+
+
 def optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_RESTARTS,
                           tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                           seed: int = DEFAULT_SEED) -> OptimizerResult:
@@ -89,26 +96,16 @@ def optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_RESTARTS,
         raise ValueError(f"need at least one iteration, got max_iter={max_iter}")
     n, d = bases.shape[:2]
     conj = bases.conj()
+    best_obj, best_state, best_converged, total_iters = -math.inf, None, False, 0
 
-    def overlaps(psi: np.ndarray) -> tuple[np.ndarray, float]:
-        amps = np.abs(conj @ psi) ** 2
-        return amps, float(amps.max(axis=1).mean())
-
-    best_obj = -math.inf
-    best_state = None
-    best_converged = False
-    total_iters = 0
-
-    seed_seqs = np.random.SeedSequence(seed).spawn(restarts)
-    for seq in seed_seqs:
+    for seq in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(seq)
         psi = random_pure_state(d, rng)
-        amps, obj = overlaps(psi)
+        amps, obj = _overlaps(conj, psi)
         converged = False
         for _ in range(max_iter):
-            picked = bases[np.arange(n), np.argmax(amps, axis=1)]
-            psi = principal_eigenvector(picked.T @ picked.conj() / n)
-            amps, new_obj = overlaps(psi)
+            psi = _pick_state(bases[np.arange(n), np.argmax(amps, axis=1)])
+            amps, new_obj = _overlaps(conj, psi)
             total_iters += 1
             if new_obj < obj - 1e-12:
                 raise RuntimeError(
@@ -130,53 +127,25 @@ def optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_RESTARTS,
                            converged=best_converged)
 
 
-def bloch_grid_search(bases: np.ndarray) -> OptimizerResult:
-    """Brute-force qubit oracle: scan the Bloch sphere, then zoom in.
+def qubit_oracle(bases: np.ndarray) -> OptimizerResult:
+    """Exact qubit optimum: the best of the states of the 2^n pick functions.
 
-    Only valid at d = 2. The initial (theta, phi) grid has BLOCH_RESOLUTION
-    points per axis; the window around the best point is then shrunk
-    geometrically with a fixed 25 x 25 subgrid until the angular step is
-    far below the target precision. Fully deterministic.
+    Only valid at d = 2, where build_mub makes at most n = 3 bases, so 8
+    candidates. The first pick function (itertools.product order) with the
+    highest objective wins; iterations counts the candidates checked.
     """
-    d = bases.shape[1]
+    n, d = bases.shape[:2]
     if d != 2:
-        raise ValueError(f"Bloch-sphere search requires d = 2, got d={d}")
-
-    def evaluate(thetas: np.ndarray, phis: np.ndarray) -> tuple[float, int]:
-        # the grid is scanned BLOCH_TILE theta rows at a time; a later tile
-        # takes over only on strict >, so the first maximum wins
-        conj, best, flat = bases.conj(), -math.inf, 0
-        for i in range(0, len(thetas), BLOCH_TILE):
-            # states (cos(t/2), e^{i f} sin(t/2)) for every grid pair
-            t, f = np.meshgrid(thetas[i:i + BLOCH_TILE], phis, indexing="ij")
-            psis = np.stack([np.cos(t / 2), np.exp(1j * f) * np.sin(t / 2)])
-            amps = np.abs(np.einsum("xaj,jtf->xatf", conj, psis)) ** 2
-            objs = amps.max(axis=1).mean(axis=0)
-            k = int(np.argmax(objs))
-            if objs.flat[k] > best:
-                best, flat = float(objs.flat[k]), i * len(phis) + k
-        return best, flat
-
-    thetas = np.linspace(0.0, math.pi, BLOCH_RESOLUTION)
-    phis = np.linspace(0.0, 2 * math.pi, BLOCH_RESOLUTION, endpoint=False)
-    best, flat = evaluate(thetas, phis)
-    t0, f0 = thetas[flat // len(phis)], phis[flat % len(phis)]
-
-    dt = math.pi / BLOCH_RESOLUTION
-    levels = 0
-    while dt > 1e-10:
-        thetas = np.clip(np.linspace(t0 - dt, t0 + dt, 25), 0.0, math.pi)
-        phis = np.linspace(f0 - dt, f0 + dt, 25)
-        cand, flat = evaluate(thetas, phis)
-        if cand > best:
-            best = cand
-            t0, f0 = thetas[flat // 25], phis[flat % 25]
-        dt /= 5.0
-        levels += 1
-
-    psi = np.array([math.cos(t0 / 2), complex(math.cos(f0), math.sin(f0)) * math.sin(t0 / 2)])
-    return OptimizerResult(best_state=psi, objective=best, restarts_used=1,
-                           iterations=levels, converged=True)
+        raise ValueError(f"the qubit oracle requires d = 2, got d={d}")
+    conj = bases.conj()
+    best_obj, best_state = -math.inf, None
+    for picks in itertools.product(range(2), repeat=n):
+        psi = _pick_state(bases[np.arange(n), picks])
+        obj = _overlaps(conj, psi)[1]
+        if obj > best_obj:
+            best_obj, best_state = obj, psi
+    return OptimizerResult(best_state=best_state, objective=best_obj, restarts_used=1,
+                           iterations=2**n, converged=True)
 
 
 def lhs_sup_work(bases: np.ndarray, omega: float, beta: float,

@@ -1,9 +1,9 @@
 """Reference implementations that the tests compare the package against.
 
 Nothing here runs on the production path. Each function evaluates a quantity
-the general way, with Kronecker products, partial traces, diagonalization or
-explicit hidden-state models, so that the closed forms and contractions in
-steerwork can be checked against it.
+the general way, with Kronecker products, partial traces, diagonalization,
+explicit hidden-state models or a Bloch-sphere grid, so that the closed
+forms and contractions in steerwork can be checked against it.
 
 The dense measurement layer is the general form of the protocol in
 steerwork.game: any bipartite state, any stack of POVMs, the Assemblage
@@ -23,6 +23,7 @@ import numpy as np
 from steerwork import game
 from steerwork.bounds import ground_state_population
 from steerwork.game import WorkReport
+from steerwork.lhs import OptimizerResult
 from steerwork.qmath import ATOL, check_hermitian, dagger, random_pure_state
 
 ATOL_CONSTRUCT = 1e-12
@@ -403,6 +404,63 @@ def mub_overlap_objective(bases: np.ndarray, psi: np.ndarray) -> float:
     """(1/n) sum_x max_a |<phi_x^a|psi>|^2 for a pure state psi."""
     amps = np.abs(bases.conj() @ psi) ** 2
     return float(amps.max(axis=1).mean())
+
+
+# Points per axis of bloch_grid_search's initial (theta, phi) grid, and
+# theta rows per tile it is evaluated in: a 20 x 500 tile peaks near
+# 2 MB, the whole grid at once near 46 MB.
+BLOCH_RESOLUTION = 500
+BLOCH_TILE = 20
+
+
+def bloch_grid_search(bases: np.ndarray) -> OptimizerResult:
+    """Brute-force qubit oracle: scan the Bloch sphere, then zoom in.
+
+    Only valid at d = 2. The initial (theta, phi) grid has BLOCH_RESOLUTION
+    points per axis; the window around the best point is then shrunk
+    geometrically with a fixed 25 x 25 subgrid until the angular step is
+    far below the target precision. Fully deterministic. It shares no code
+    with lhs.qubit_oracle, which enumerates pick functions instead.
+    """
+    d = bases.shape[1]
+    if d != 2:
+        raise ValueError(f"Bloch-sphere search requires d = 2, got d={d}")
+
+    def evaluate(thetas: np.ndarray, phis: np.ndarray) -> tuple[float, int]:
+        # the grid is scanned BLOCH_TILE theta rows at a time; a later tile
+        # takes over only on strict >, so the first maximum wins
+        conj, best, flat = bases.conj(), -math.inf, 0
+        for i in range(0, len(thetas), BLOCH_TILE):
+            # states (cos(t/2), e^{i f} sin(t/2)) for every grid pair
+            t, f = np.meshgrid(thetas[i:i + BLOCH_TILE], phis, indexing="ij")
+            psis = np.stack([np.cos(t / 2), np.exp(1j * f) * np.sin(t / 2)])
+            amps = np.abs(np.einsum("xaj,jtf->xatf", conj, psis)) ** 2
+            objs = amps.max(axis=1).mean(axis=0)
+            k = int(np.argmax(objs))
+            if objs.flat[k] > best:
+                best, flat = float(objs.flat[k]), i * len(phis) + k
+        return best, flat
+
+    thetas = np.linspace(0.0, math.pi, BLOCH_RESOLUTION)
+    phis = np.linspace(0.0, 2 * math.pi, BLOCH_RESOLUTION, endpoint=False)
+    best, flat = evaluate(thetas, phis)
+    t0, f0 = thetas[flat // len(phis)], phis[flat % len(phis)]
+
+    dt = math.pi / BLOCH_RESOLUTION
+    levels = 0
+    while dt > 1e-10:
+        thetas = np.clip(np.linspace(t0 - dt, t0 + dt, 25), 0.0, math.pi)
+        phis = np.linspace(f0 - dt, f0 + dt, 25)
+        cand, flat = evaluate(thetas, phis)
+        if cand > best:
+            best = cand
+            t0, f0 = thetas[flat // 25], phis[flat % 25]
+        dt /= 5.0
+        levels += 1
+
+    psi = np.array([math.cos(t0 / 2), complex(math.cos(f0), math.sin(f0)) * math.sin(t0 / 2)])
+    return OptimizerResult(best_state=psi, objective=best, restarts_used=1,
+                           iterations=levels, converged=True)
 
 
 def deterministic_single_state_model(bases: np.ndarray, psi: np.ndarray) -> LhsModel:

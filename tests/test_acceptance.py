@@ -15,6 +15,7 @@ import pytest
 
 from oracles import (
     average_work,
+    bloch_grid_search,
     conditional_state,
     expectation,
     lhs_work,
@@ -28,7 +29,7 @@ from oracles import (
 from steerwork.bounds import evaluate_bounds, ground_state_population
 from steerwork.cli import main as cli_main
 from steerwork.game import run_exact_quantum, run_monte_carlo
-from steerwork.lhs import bloch_grid_search, lhs_sup_work, optimize_single_state
+from steerwork.lhs import lhs_sup_work, optimize_single_state
 from steerwork.mub import build_mub, supported_family, verify_mub
 
 BETA_PALETTE = [0.0, 0.5, 1.0, 2.0, math.inf]

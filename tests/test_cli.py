@@ -76,6 +76,16 @@ class TestBounds:
             assert code == 2
             assert out == ""
 
+    @pytest.mark.parametrize("flag", ["--dim", "--n-bases"])
+    def test_huge_integer_exits_two(self, capsys, flag):
+        # 3 or 1 followed by 400 zeros does not convert to a float
+        argv = ["bounds", "--dim", "3", "--n-bases", "1"]
+        argv[argv.index(flag) + 1] += "0" * 400
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: int too large to convert to float\n"
+
 
 class TestSimulate:
     def test_exact_qutrit(self, capsys):

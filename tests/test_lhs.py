@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from steerwork.bounds import evaluate_bounds, ground_state_population, rastegin_bound
 from oracles import (
     LhsModel,
     assemblage_from_model,
+    bloch_grid_search,
     deterministic_single_state_model,
     lhs_work,
     measure_assemblage,
@@ -18,11 +20,10 @@ from oracles import (
     random_unitary,
     tensor_product,
 )
-from steerwork import lhs
 from steerwork.lhs import (
-    bloch_grid_search,
     lhs_sup_work,
     optimize_single_state,
+    qubit_oracle,
 )
 from steerwork.mub import build_mub
 from steerwork.qmath import normalize, random_pure_state
@@ -201,7 +202,7 @@ class TestBlochGridSearch:
     def test_tiles_do_not_change_the_result(self, n, monkeypatch):
         bases = build_mub(2, n)
         tiled = bloch_grid_search(bases)
-        monkeypatch.setattr(lhs, "BLOCH_TILE", lhs.BLOCH_RESOLUTION)
+        monkeypatch.setattr(oracles, "BLOCH_TILE", oracles.BLOCH_RESOLUTION)
         whole = bloch_grid_search(bases)
         assert tiled.objective == whole.objective
         assert tiled.best_state.tobytes() == whole.best_state.tobytes()
@@ -216,6 +217,37 @@ class TestBlochGridSearch:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20, f"peak allocation {peak / 2**20:.2f} MB"
+
+
+class TestQubitOracle:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_exact_optimum(self, n):
+        result = qubit_oracle(build_mub(2, n))
+        assert abs(result.objective - (1 + 1 / math.sqrt(n)) / 2) <= 1e-15
+        assert result.iterations == 2**n
+        assert result.restarts_used == 1 and result.converged
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_global_maximum(self, n):
+        bases = build_mub(2, n)
+        oracle = qubit_oracle(bases)
+        for seed in range(10):
+            opt = optimize_single_state(bases, seed=seed)
+            assert oracle.objective >= opt.objective - 1e-15, seed
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_agrees_with_grid_on_random_bases(self, seed):
+        # three Haar-random qubit bases: not mutually unbiased, no symmetry
+        rng = np.random.default_rng(500 + seed)
+        bases = np.stack([random_unitary(2, rng) for _ in range(3)])
+        oracle = qubit_oracle(bases)
+        grid = bloch_grid_search(bases)
+        assert abs(oracle.objective - grid.objective) < 1e-9
+        assert abs(oracle.objective - mub_overlap_objective(bases, oracle.best_state)) < 1e-15
+
+    def test_rejects_higher_dimensions(self):
+        with pytest.raises(ValueError, match="d = 2"):
+            qubit_oracle(build_mub(3, 2))
 
 
 class TestLhsSupWork:
