@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+from .mub import _as_int
+
 
 def check_parameters(d: int, omega: float, beta: float) -> None:
     """Raise ValueError unless d >= 2, 0 < omega < inf and beta >= 0 (inf allowed)."""
@@ -85,7 +87,8 @@ class BoundSet:
 
 
 def evaluate_bounds(d: int, n: int, omega: float, beta: float) -> BoundSet:
-    """Bundle every bound for one configuration from one r and one P."""
+    """Bundle every bound for one configuration from one r and one P, d and n as Python ints."""
+    d, n = _as_int("d", d), _as_int("n", n)
     r = rastegin_bound(d, n)
     pop = ground_state_population(d, omega, beta)
     return BoundSet(

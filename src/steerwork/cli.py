@@ -24,8 +24,7 @@ from .bounds import evaluate_bounds, json_float
 from .game import run_exact_quantum, run_monte_carlo
 from .lhs import (DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_TOL,
                   lhs_sup_work, qubit_oracle)
-from .mub import MubConstructionError, build_mub, check_family, verify_mub
-from .qmath import ATOL
+from .mub import ATOL, MubConstructionError, build_mub, check_family, verify_mub
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -16,13 +16,14 @@ There is one protocol: the maximally entangled state measured in the
 conjugated bases, which steers Bob to sigma_{a|x} = |phi_x^a><phi_x^a|/d.
 _quantum_protocol computes its tables p[x, a] and F[x, a], and
 _check_protocol asserts the identities they obey on exactly the tables
-that are then priced, each at the one tolerance qmath.ATOL (in units of
+that are then priced, each at the one tolerance mub.ATOL (in units of
 omega for the work). The general path for any state and POVM stack, and
 the per-round ledger by diagonalization, live in tests/oracles.py, where
 the tests compare the production tables against them.
 
 Both modes take (d, n, omega, beta) as plain arguments and share one
 prologue, _protocol_table, which validates them and prices the tables.
+Reports carry their integers as Python ints, so they serialize to JSON.
 Exact mode sums over (a, x); Monte Carlo mode samples rounds operationally
 with a seeded counter-based generator, a fixed-size chunk of shots at a
 time, into a histogram of the (x, a) rounds. Its memory therefore does not
@@ -38,8 +39,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import bounds as bounds_mod
-from .mub import build_mub
-from .qmath import ATOL
+from .mub import ATOL, _as_int, build_mub
 
 # Monte Carlo shots drawn per chunk; memory is O(CHUNK) whatever the shot count.
 CHUNK = 1 << 16
@@ -71,7 +71,7 @@ class WorkReport:
 
 def _report(d, n, omega, beta, *, mode, shots, seed, average, stderr, per_round) -> WorkReport:
     bs = bounds_mod.evaluate_bounds(d, n, omega, beta)
-    return WorkReport(d=d, n=n, omega=omega, beta=beta, mode=mode, shots=shots,
+    return WorkReport(d=bs.d, n=bs.n, omega=omega, beta=beta, mode=mode, shots=shots,
                       seed=seed, average=average, stderr=stderr, w_classical=bs.w_classical,
                       w_quantum=bs.w_quantum, xi=bs.xi, per_round=per_round)
 
@@ -201,6 +201,7 @@ def run_monte_carlo(d: int, n: int, omega: float = 1.0, beta: float = 1.0, *,
     reports. stderr is the sample standard deviation over sqrt(shots)
     (0.0 for a single shot).
     """
+    shots, seed = _as_int("shots", shots), _as_int("seed", seed)
     if shots < 1:
         raise ValueError(f"Monte Carlo needs shots >= 1, got {shots}")
     p, table, _ = _protocol_table(d, n, omega, beta)

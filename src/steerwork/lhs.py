@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bounds_mod
-from .qmath import principal_eigenvector, random_pure_state
+from .mub import ATOL, _as_int
 
 # Defaults of optimize_single_state, which the lhs-opt flags share.
 DEFAULT_RESTARTS, DEFAULT_TOL, DEFAULT_MAX_ITER, DEFAULT_SEED = 32, 1e-12, 500, 0
@@ -64,6 +64,25 @@ class OptimizerResult:
         }
 
 
+def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random pure state: normalized complex Gaussian vector."""
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return z / np.linalg.norm(z)
+
+
+def principal_eigenvector(m: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the largest eigenvalue of m, which must be Hermitian within ATOL.
+
+    A non-Hermitian m raises ValueError. A tie goes to the first such column
+    of eigh's ascending output; the global phase is eigh's.
+    """
+    dev = float(np.max(np.abs(m - m.conj().T)))
+    if dev > ATOL:
+        raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {dev:.3e} > {ATOL:.1e}")
+    w, v = np.linalg.eigh(m)
+    return v[:, int(np.argmax(w))].copy()
+
+
 def _overlaps(conj: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, float]:
     """Overlap table |<phi_x^a|psi>|^2 from the conjugated bases, and its objective."""
     amps = np.abs(conj @ psi) ** 2
@@ -88,8 +107,11 @@ def optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_RESTARTS,
     master seed and the best restart wins, ties going to the earliest.
     Each iterate's overlap table |<phi_x^a|psi>|^2 gives both its
     objective and the next picks. bases is the (n, d, d) array of
-    mub.build_mub.
+    mub.build_mub. restarts, max_iter and seed must be integral (numpy
+    integers are), or ValueError names the one that is not.
     """
+    restarts, max_iter = _as_int("restarts", restarts), _as_int("max_iter", max_iter)
+    seed = _as_int("seed", seed)
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
     if max_iter < 1:

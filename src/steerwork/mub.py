@@ -3,7 +3,8 @@
 Two orthonormal bases of C^d are mutually unbiased when every cross-basis
 overlap has modulus 1/sqrt(d). Supported constructions:
 
-  * any d, n = 2: computational basis + discrete Fourier basis;
+  * any d, n = 2: computational basis + discrete Fourier basis, except
+    that odd prime d gets the first two bases of the family below;
   * d = 2, n <= 3: the Pauli Z/X/Y eigenbases;
   * odd prime d, n <= d+1: computational basis plus the quadratic-phase
     family whose basis x has components <j|phi_x^a> =
@@ -29,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import ATOL
+# The one absolute slack of the package's numerical checks: Hermiticity,
+# the protocol identities (the work in units of omega) and MUB overlaps.
+ATOL = 1e-10
 
 # Bases per column tile of a Gram block row in verify_mub. At d = 61 a
 # tile's product and deviation table take 0.5 MB, which stays in cache.

@@ -23,8 +23,8 @@ import numpy as np
 from steerwork import game
 from steerwork.bounds import ground_state_population
 from steerwork.game import WorkReport
-from steerwork.lhs import OptimizerResult
-from steerwork.qmath import ATOL, check_hermitian, dagger, random_pure_state
+from steerwork.lhs import OptimizerResult, random_pure_state
+from steerwork.mub import ATOL
 
 ATOL_CONSTRUCT = 1e-12
 
@@ -34,6 +34,28 @@ P_EPS = 1e-14
 
 
 # -- dense linear algebra ---------------------------------------------------
+
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose."""
+    return m.conj().T
+
+
+def normalize(vec: np.ndarray) -> np.ndarray:
+    """Return vec / ||vec||."""
+    nrm = float(np.linalg.norm(vec))
+    if nrm == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return np.asarray(vec, dtype=complex) / nrm
+
+
+def check_hermitian(m: np.ndarray) -> None:
+    """Raise ValueError unless m is square and Hermitian within ATOL."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    dev = float(np.max(np.abs(m - dagger(m))))
+    if dev > ATOL:
+        raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {dev:.3e} > {ATOL:.1e}")
+
 
 def overlap2(u: np.ndarray, v: np.ndarray) -> float:
     """Squared overlap |<u|v>|^2 of two state vectors."""

@@ -13,12 +13,14 @@ from oracles import (
     average_work,
     assemblage_from_model,
     conditional_state,
+    dagger,
     expectation,
     fidelities,
     hamiltonian,
     maximally_entangled,
     measure_assemblage,
     min_eigenvalue,
+    normalize,
     partial_trace_A,
     projective_povm,
     projector,
@@ -31,8 +33,8 @@ from oracles import (
     work_term,
 )
 from steerwork.game import run_exact_quantum, run_monte_carlo
+from steerwork.lhs import optimize_single_state, random_pure_state
 from steerwork.mub import build_mub
-from steerwork.qmath import dagger, normalize, random_pure_state
 
 # 1 - e/(e+1) frozen from the 50-digit closed-form evaluation
 WQ_D2_B1 = 0.26894142136999512
@@ -625,3 +627,33 @@ class TestGameConfig:
     def test_zero_temperature_flag(self):
         report = run_exact_quantum(d=2, n=3, beta=math.inf)
         assert math.isinf(report.beta)
+
+
+class TestIntegerArguments:
+    # every library entry turns its integer arguments into Python ints,
+    # so that a report serializes whatever integer type the caller passed
+    @pytest.mark.parametrize("call", [
+        lambda: evaluate_bounds(np.int64(3), 4, 1.0, 1.0),
+        lambda: run_exact_quantum(np.int64(3), np.int64(4)),
+        lambda: run_monte_carlo(3, 4, shots=10, seed=np.int64(2)),
+        lambda: run_monte_carlo(np.int32(3), 4, shots=np.uint8(10)),
+        lambda: optimize_single_state(build_mub(3, 4), restarts=np.int64(2),
+                                      max_iter=np.int16(20), seed=np.int64(1)),
+    ], ids=["bounds", "exact", "monte_carlo_seed", "monte_carlo_shots", "optimizer"])
+    def test_report_round_trips_json(self, call):
+        payload = call().to_json_dict()
+        assert json.loads(json.dumps(payload)) == payload
+
+    @pytest.mark.parametrize("name, call", [
+        ("d", lambda: evaluate_bounds(2.5, 3, 1.0, 1.0)),
+        ("n", lambda: evaluate_bounds(3, 4.0, 1.0, 1.0)),
+        ("shots", lambda: run_monte_carlo(3, 4, shots=2.5)),
+        ("seed", lambda: run_monte_carlo(3, 4, shots=10, seed=2.5)),
+        ("restarts", lambda: optimize_single_state(build_mub(2, 3), restarts=2.5)),
+        ("max_iter", lambda: optimize_single_state(build_mub(2, 3), max_iter=2.5)),
+        ("seed", lambda: optimize_single_state(build_mub(2, 3), seed=np.float64(1.0))),
+    ], ids=["bounds_d", "bounds_n", "shots", "monte_carlo_seed", "restarts", "max_iter",
+            "optimizer_seed"])
+    def test_non_integral_argument_is_named(self, name, call):
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+            call()

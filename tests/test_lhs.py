@@ -14,6 +14,7 @@ from oracles import (
     lhs_work,
     measure_assemblage,
     mub_overlap_objective,
+    normalize,
     projective_povm,
     random_density_matrix,
     random_lhs_model,
@@ -24,9 +25,9 @@ from steerwork.lhs import (
     lhs_sup_work,
     optimize_single_state,
     qubit_oracle,
+    random_pure_state,
 )
 from steerwork.mub import build_mub
-from steerwork.qmath import normalize, random_pure_state
 
 PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),

@@ -69,6 +69,16 @@ class TestBuildMub:
         dft = np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
         assert np.allclose(build_mub(d, 2)[1], dft, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("d", ODD_PRIMES + [61])
+    def test_prime_pair_is_quadratic_phase(self, d):
+        # for odd prime d the second basis is the x = 1 quadratic-phase basis,
+        # the first two bases of the maximal family, not the Fourier basis
+        j = np.arange(d)
+        quad = np.exp(2j * np.pi * (j * j + j[:, None] * j) / d) / np.sqrt(d)
+        pair = build_mub(d, 2)
+        assert np.array_equal(pair, build_mub(d, d + 1)[:2])
+        assert np.allclose(pair[1], quad, rtol=0, atol=1e-12)
+
     def test_qutrit_full_family(self):
         worst = exhaustive_overlap_check(build_mub(3, 4), 1e-12)
         assert worst < 1e-12

@@ -9,6 +9,10 @@ takes omega a second time. Each output there is omega times a dimensionless
 number, rounded to a grid whose spacing is math.ulp(0.0), so their
 identities get that spacing as an absolute floor on top of the 1e-10 * omega
 slack.
+
+test_argv_never_tracebacks draws hostile values instead: one flag of a small
+valid call is set to an arbitrary token, and the CLI must still answer with
+a documented exit code and, on a usage error, a one-line message.
 """
 
 import contextlib
@@ -16,6 +20,7 @@ import io
 import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -156,3 +161,70 @@ def test_lhs_opt_subnormal_omega(pair, omega, beta, restarts, seed):
                      "--seed", seed)
     assert code == 0
     assert data["achievable_work"] <= data["w_classical"] + 1e-10 * omega + ULP0
+
+
+# A small valid call of each subcommand. The argv test sets one of its values
+# (or --format) to a drawn token; a hostile --dim keeps --n-bases 4 beside it.
+VALID_ARGV = {
+    "bounds": {"--dim": "3", "--n-bases": "4", "--omega": "1", "--beta": "1"},
+    "simulate": {"--dim": "3", "--n-bases": "4", "--omega": "1", "--beta": "1",
+                 "--shots": "3", "--seed": "0"},
+    "scan": {"--dims": "2,3", "--omega": "1", "--beta": "1"},
+    "lhs-opt": {"--dim": "3", "--n-bases": "4", "--omega": "1", "--beta": "1",
+                "--restarts": "2", "--seed": "0", "--tol": "1e-12", "--max-iter": "50"},
+    "verify-mub": {"--dim": "3", "--n-bases": "4", "--tol": "1e-10"},
+}
+HOSTILE = ["nan", "inf", "-inf", "-1", "0", "-0", "1e309", "1e-400", "5e-324", "1e300", "2.5",
+           "", "0x10", "1_000", "\u096f", "1" + "0" * 400]
+# flags whose value sets the size of the run
+SIZE_FLAGS = {"--dim", "--n-bases", "--shots", "--restarts", "--max-iter", "--dims"}
+EXIT_CODES = {0, 2, 3, 4, 5}
+
+
+def small(token):
+    """False if some comma-separated piece of token is, by the CLI's int(), above 7.
+
+    Size flags take only small tokens, so no draw starts a large valid run.
+    """
+    for piece in token.split(","):
+        try:
+            if int(piece) > 7:
+                return False
+        except ValueError:
+            pass
+    return True
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_argv_never_tracebacks(data):
+    command = data.draw(st.sampled_from(sorted(VALID_ARGV)))
+    values = {**VALID_ARGV[command],
+              "--format": data.draw(st.sampled_from(["json", "csv", "text"]))}
+    flag = data.draw(st.sampled_from(sorted(values)))
+    tokens = st.one_of(st.sampled_from(HOSTILE), st.text())
+    values[flag] = data.draw(tokens.filter(small) if flag in SIZE_FLAGS else tokens)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, *(item for pair in values.items() for item in pair)])
+    assert code in EXIT_CODES
+    assert "Traceback" not in err.getvalue()
+    if code in (2, 4):
+        lines = err.getvalue().splitlines()
+        assert lines and "error:" in lines[-1]
+        assert sum("error:" in line for line in lines) == 1
+    if code == 0 and values["--format"] == "json":
+        json.loads(out.getvalue(), parse_constant=_reject)
+
+
+@pytest.mark.parametrize("flag, token, value", [
+    ("--seed", "1_000", 1000), ("--seed", "\u096f", 9),
+    ("--omega", "1_000", 1000.0), ("--omega", "\u096f", 9.0),
+])
+def test_numbers_take_python_literal_syntax(flag, token, value):
+    # int() and float() read digit-group underscores and any Unicode decimal
+    # digit (U+096F is Devanagari nine); the CLI accepts what they accept
+    argv = {"--dim": 3, "--n-bases": 4, "--shots": 1, "--seed": 0, "--omega": 1.0, flag: token}
+    code, report = run("simulate", *(str(item) for pair in argv.items() for item in pair))
+    assert code == 0
+    assert report[flag[2:]] == value

@@ -1,11 +1,17 @@
+"""Dense linear algebra: the references in oracles, and lhs's random pure
+states and principal eigenvector (the former steerwork.qmath, removed in 0.5.0).
+"""
+
 import numpy as np
 import pytest
 
 from oracles import (
     check_density_matrix,
     check_povm,
+    dagger,
     hermitian_eigensystem,
     min_eigenvalue,
+    normalize,
     overlap2,
     partial_trace_A,
     projector,
@@ -13,7 +19,7 @@ from oracles import (
     random_unitary,
     tensor_product,
 )
-from steerwork.qmath import dagger, normalize, principal_eigenvector, random_pure_state
+from steerwork.lhs import principal_eigenvector, random_pure_state
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
