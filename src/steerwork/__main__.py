@@ -1,3 +1,5 @@
-from .cli import entry_point
+import sys
 
-entry_point()
+from .cli import main
+
+sys.exit(main())

@@ -276,9 +276,5 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
-def entry_point() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry_point()
+    sys.exit(main())

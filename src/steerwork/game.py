@@ -136,15 +136,14 @@ def _protocol_table(d: int, n: int, omega: float,
                     beta: float) -> tuple[np.ndarray, np.ndarray, float]:
     """The run prologue of both modes: validate, run the protocol, price it.
 
-    Raises ValueError unless bounds.check_parameters accepts (d, omega,
-    beta) and n >= 2. Returns p[x, a], the work table F - P in units of
-    omega, and the ground-level Gibbs population P.
+    Raises ValueError unless ground_state_population's parameter check
+    accepts (d, omega, beta) and n >= 2. Returns p[x, a], the work table
+    F - P in units of omega, and the ground-level Gibbs population P.
     """
-    bounds_mod.check_parameters(d, omega, beta)
+    pop = bounds_mod.ground_state_population(d, omega, beta)
     if n < 2:
         raise ValueError(f"need at least two settings, got n={n}")
     p, fid = _quantum_protocol(d, n)
-    pop = bounds_mod.ground_state_population(d, omega, beta)
     return p, fid - pop, pop
 
 

@@ -119,9 +119,11 @@ def optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_RESTARTS,
     n, d = bases.shape[:2]
     conj = bases.conj()
     best_obj, best_state, best_converged, total_iters = -math.inf, None, False, 0
+    root = np.random.SeedSequence(seed)
 
-    for seq in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(seq)
+    for _ in range(restarts):
+        # one child at a time: the same spawn keys as spawn(restarts), in O(1) memory
+        rng = np.random.default_rng(root.spawn(1)[0])
         psi = random_pure_state(d, rng)
         amps, obj = _overlaps(conj, psi)
         converged = False

@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -8,16 +10,23 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from referencing import Registry, Resource
 
 from steerwork.cli import build_parser, main
 from steerwork.mub import SUPPORTED_FAMILIES as FAMILIES
 from steerwork.mub import check_supported
 
-SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA_DIR = ROOT / "docs" / "schemas"
+SCHEMAS = {path.name.removesuffix(".schema.json"): json.loads(path.read_text())
+           for path in SCHEMA_DIR.glob("*.schema.json")}
+# a schema names another by its $id, as lhs_opt does with "$ref": "optimizer_result"
+REGISTRY = Registry().with_resources(
+    (schema["$id"], Resource.from_contents(schema)) for schema in SCHEMAS.values())
 
 
-def load_schema(name):
-    return json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text())
+def validate(data, name):
+    jsonschema.validate(data, SCHEMAS[name], registry=REGISTRY)
 
 
 def run_cli(capsys, *argv):
@@ -32,7 +41,7 @@ class TestBounds:
                                "--omega", "1", "--beta", "1", "--format", "json")
         assert code == 0
         data = json.loads(out)
-        jsonschema.validate(data, load_schema("bound_set"))
+        validate(data, "bound_set")
         assert data["w_quantum"] == pytest.approx(0.26894142136999512, abs=1e-12)
         assert data["w_classical"] == pytest.approx(0.05761655596480800, abs=1e-12)
         assert data["xi"] == pytest.approx(4.66778023896922317, abs=1e-10)
@@ -54,7 +63,7 @@ class TestBounds:
                                "--beta", "inf", "--format", "json")
         assert code == 3
         data = json.loads(out)
-        jsonschema.validate(data, load_schema("bound_set"))
+        validate(data, "bound_set")
         assert data["xi"] is None
         assert data["beta"] == "inf"
         assert data["w_classical"] < 0
@@ -93,7 +102,7 @@ class TestSimulate:
                                "--omega", "1", "--beta", "1", "--format", "json")
         assert code == 0
         data = json.loads(out)
-        jsonschema.validate(data, load_schema("work_report"))
+        validate(data, "work_report")
         assert data["mode"] == "exact"
         assert data["average"] == pytest.approx(0.42388311523417089, abs=1e-10)
 
@@ -105,7 +114,7 @@ class TestSimulate:
         assert code1 == code2 == 0
         assert out1 == out2
         data = json.loads(out1)
-        jsonschema.validate(data, load_schema("work_report"))
+        validate(data, "work_report")
         assert data["mode"] == "monte_carlo"
         assert data["shots"] == 20000
 
@@ -209,6 +218,17 @@ class TestScan:
         assert out == ""
         assert err == f"error: (d=6, n=7) not available; supported families: {FAMILIES}\n"
 
+    @pytest.mark.parametrize("beta", ["1", "inf"])
+    def test_json_schema(self, capsys, beta):
+        # at zero temperature no dimension has an advantage ratio: xi is null
+        code, out, _ = run_cli(capsys, "scan", "--dims", self.DIMS, "--beta", beta,
+                               "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        validate(rows, "scan")
+        assert len(rows) == 6
+        assert all((row["xi"] is None) == (beta == "inf") for row in rows)
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "scan.csv"
         code, out, _ = run_cli(capsys, "scan", "--dims", "2,3", "--out", str(target))
@@ -225,9 +245,29 @@ class TestLhsOpt:
                                "--format", "json")
         assert code == 0
         data = json.loads(out)
-        jsonschema.validate(data["optimizer"], load_schema("optimizer_result"))
+        validate(data["optimizer"], "optimizer_result")
         assert abs(data["gap"]) < 1e-6
         assert data["oracle_agreement"] < 1e-5
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_json_schema(self, capsys, d):
+        # the oracle runs at d = 2 only, so it is an object there and null at d = 3
+        code, out, _ = run_cli(capsys, "lhs-opt", "--dim", str(d), "--n-bases", str(d + 1),
+                               "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        validate(data, "lhs_opt")
+        assert (data["oracle"] is None) == (d != 2)
+
+    def test_json_schema_checks_the_optimizer(self, capsys):
+        # the optimizer object follows optimizer_result through its $ref
+        _, out, _ = run_cli(capsys, "lhs-opt", "--dim", "2", "--n-bases", "3",
+                            "--format", "json")
+        for key in ("optimizer", "oracle"):
+            data = json.loads(out)
+            data[key]["extra"] = 1
+            with pytest.raises(jsonschema.ValidationError):
+                validate(data, "lhs_opt")
 
     def test_qutrit_objective_below_overlap_cap(self, capsys):
         code, out, _ = run_cli(capsys, "lhs-opt", "--dim", "3", "--n-bases", "4",
@@ -294,6 +334,15 @@ class TestVerifyMub:
         assert code == 5
         assert out.startswith("FAIL")
         assert "worst pair" in out
+
+    @pytest.mark.parametrize("tol, expected", [("1e-10", 0), ("0", 5)])
+    def test_json_schema(self, capsys, tol, expected):
+        code, out, _ = run_cli(capsys, "verify-mub", "--dim", "7", "--n-bases", "8",
+                               "--tol", tol, "--format", "json")
+        assert code == expected
+        data = json.loads(out)
+        validate(data, "verify_mub")
+        assert data["passed"] is (expected == 0)
 
     def test_unsupported(self, capsys):
         code, _, _ = run_cli(capsys, "verify-mub", "--dim", "6", "--n-bases", "4")
@@ -529,3 +578,19 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+    def test_pyproject_names_the_entry_function(self, monkeypatch):
+        # Python 3.10 has no tomllib, so the tables are read with regexes
+        text = (ROOT / "pyproject.toml").read_text()
+        tables = dict(re.findall(r"^\[([\w.]+)\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S))
+        module, name = re.fullmatch(r'steerwork = "([\w.]+):(\w+)"\s*',
+                                    tables["project.scripts"]).groups()
+        entry = getattr(importlib.import_module(module), name)
+        # the console script calls it with no arguments and exits with its result
+        for argv, code in [(["bounds", "--dim", "2", "--n-bases", "3"], 0), (["bounds"], 2)]:
+            monkeypatch.setattr(sys, "argv", ["steerwork", *argv])
+            assert entry() == code
+        # the version is read from steerwork.__version__, its one home
+        assert not re.search(r"^version\s*=", tables["project"], re.M)
+        assert 'dynamic = ["version"]' in tables["project"]
+        assert 'version = {attr = "steerwork.__version__"}' in tables["tool.setuptools.dynamic"]

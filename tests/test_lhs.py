@@ -171,6 +171,19 @@ class TestOptimizeSingleState:
         with pytest.raises(ValueError, match=match):
             optimize_single_state(build_mub(2, 3), **kwargs)
 
+    def test_memory_does_not_grow_with_restarts(self):
+        # spawning every restart's seed up front peaked at about 0.7 MB for
+        # 2,000 restarts; one child at a time keeps the peak near 7 KB
+        bases = build_mub(3, 4)
+        optimize_single_state(bases, restarts=2, max_iter=1)
+        tracemalloc.start()
+        try:
+            optimize_single_state(bases, restarts=2000, max_iter=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10, f"peak allocation {peak / 2**10:.1f} KiB"
+
 
 class TestBlochGridSearch:
     def test_three_bases_optimum(self):
