@@ -15,26 +15,22 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .mub import _as_int
+from .mub import _as_dims
 
 
-def check_parameters(d: int, omega: float, beta: float) -> None:
-    """Raise ValueError unless d >= 2, 0 < omega < inf and beta >= 0 (inf allowed)."""
+def ground_state_population(d: int, omega: float, beta: float) -> float:
+    """Thermal weight on the ground level of a gap-omega, d-level spectrum.
+
+    Raises ValueError unless d >= 2, 0 < omega < inf and beta >= 0 (inf
+    allowed). Equals 1/d at beta = 0 and 1 at beta = inf; exp(-beta*omega)
+    never overflows for beta >= 0, omega > 0.
+    """
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got d={d}")
     if not 0 < omega < math.inf:
         raise ValueError(f"energy gap must be finite and positive, got omega={omega}")
     if not (beta >= 0):
         raise ValueError(f"inverse temperature must be >= 0, got beta={beta}")
-
-
-def ground_state_population(d: int, omega: float, beta: float) -> float:
-    """Thermal weight on the ground level of a gap-omega, d-level spectrum.
-
-    Equals 1/d at beta = 0 and 1 at beta = inf; exp(-beta*omega) never
-    overflows for beta >= 0, omega > 0.
-    """
-    check_parameters(d, omega, beta)
     return 1.0 / (1.0 + (d - 1) * math.exp(-beta * omega))
 
 
@@ -68,7 +64,7 @@ class BoundSet:
     entangled state in the conjugated bases. advantage is the criterion
     d*sqrt(n)/(sqrt(n) + d - 1) > 1, that is r < 1, which holds for every
     d >= 2 once n >= 2. xi is None when r <= P, where the classical bound
-    is <= 0 and the ratio is undefined.
+    is <= 0 and the ratio is undefined. population is P, left out of JSON.
     """
 
     d: int
@@ -80,15 +76,17 @@ class BoundSet:
     xi: float | None
     rastegin: float
     advantage: bool
+    population: float
 
     def to_json_dict(self) -> dict:
-        """The fields in order, with beta strict-JSON safe."""
-        return {**asdict(self), "beta": json_float(self.beta)}
+        """The fields in order but population, with beta strict-JSON safe."""
+        fields = {**asdict(self), "beta": json_float(self.beta)}
+        return {key: value for key, value in fields.items() if key != "population"}
 
 
 def evaluate_bounds(d: int, n: int, omega: float, beta: float) -> BoundSet:
-    """Bundle every bound for one configuration from one r and one P, d and n as Python ints."""
-    d, n = _as_int("d", d), _as_int("n", n)
+    """Validate one configuration and bundle its bounds from one r and one P, d, n as ints."""
+    d, n = _as_dims(d, n)
     r = rastegin_bound(d, n)
     pop = ground_state_population(d, omega, beta)
     return BoundSet(
@@ -98,6 +96,7 @@ def evaluate_bounds(d: int, n: int, omega: float, beta: float) -> BoundSet:
         xi=(1.0 - pop) / (r - pop) if r > pop else None,
         rastegin=r,
         advantage=r < 1.0,
+        population=pop,
     )
 
 

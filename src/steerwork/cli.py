@@ -206,11 +206,8 @@ def cmd_scan(args) -> int:
     rows = []
     for d in dims:
         bs = evaluate_bounds(d, d + 1, args.omega, args.beta)
-        rows.append({
-            "d": d, "n": d + 1, "omega": args.omega, "beta": json_float(args.beta),
-            "w_classical": bs.w_classical, "w_quantum": bs.w_quantum, "xi": bs.xi,
-            "xi_over_sqrt_d": bs.xi / math.sqrt(d) if bs.xi is not None else None,
-        })
+        row = {k: v for k, v in bs.to_json_dict().items() if k not in ("rastegin", "advantage")}
+        rows.append({**row, "xi_over_sqrt_d": bs.xi / math.sqrt(d) if bs.xi is not None else None})
     table = [list(rows[0]), *(row.values() for row in rows)]
     text = ["  ".join(f"{_fmt(v):>14}" for v in line) for line in table]
     _render(args, rows, rows, text)

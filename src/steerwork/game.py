@@ -22,7 +22,7 @@ the per-round ledger by diagonalization, live in tests/oracles.py, where
 the tests compare the production tables against them.
 
 Both modes take (d, n, omega, beta) as plain arguments and share one
-prologue, _protocol_table, which validates them and prices the tables.
+prologue, _protocol_table, which builds their BoundSet and prices the tables.
 Reports carry their integers as Python ints, so they serialize to JSON.
 Exact mode sums over (a, x); Monte Carlo mode samples rounds operationally
 with a seeded counter-based generator, a fixed-size chunk of shots at a
@@ -69,9 +69,8 @@ class WorkReport:
                 "per_round": self.per_round.tolist()}
 
 
-def _report(d, n, omega, beta, *, mode, shots, seed, average, stderr, per_round) -> WorkReport:
-    bs = bounds_mod.evaluate_bounds(d, n, omega, beta)
-    return WorkReport(d=bs.d, n=bs.n, omega=omega, beta=beta, mode=mode, shots=shots,
+def _report(bs, *, mode, shots, seed, average, stderr, per_round) -> WorkReport:
+    return WorkReport(d=bs.d, n=bs.n, omega=bs.omega, beta=bs.beta, mode=mode, shots=shots,
                       seed=seed, average=average, stderr=stderr, w_classical=bs.w_classical,
                       w_quantum=bs.w_quantum, xi=bs.xi, per_round=per_round)
 
@@ -133,18 +132,18 @@ def _quantum_protocol(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _protocol_table(d: int, n: int, omega: float,
-                    beta: float) -> tuple[np.ndarray, np.ndarray, float]:
+                    beta: float) -> tuple[np.ndarray, np.ndarray, bounds_mod.BoundSet]:
     """The run prologue of both modes: validate, run the protocol, price it.
 
-    Raises ValueError unless ground_state_population's parameter check
-    accepts (d, omega, beta) and n >= 2. Returns p[x, a], the work table
-    F - P in units of omega, and the ground-level Gibbs population P.
+    Raises ValueError unless evaluate_bounds accepts (d, n, omega, beta)
+    and n >= 2. Returns p[x, a], the work table F - P in units of omega,
+    and the bound set, whose population is the Gibbs population P.
     """
-    pop = bounds_mod.ground_state_population(d, omega, beta)
-    if n < 2:
-        raise ValueError(f"need at least two settings, got n={n}")
-    p, fid = _quantum_protocol(d, n)
-    return p, fid - pop, pop
+    bs = bounds_mod.evaluate_bounds(d, n, omega, beta)
+    if bs.n < 2:
+        raise ValueError(f"need at least two settings, got n={bs.n}")
+    p, fid = _quantum_protocol(bs.d, bs.n)
+    return p, fid - bs.population, bs
 
 
 def run_exact_quantum(d: int, n: int, omega: float = 1.0, beta: float = 1.0) -> WorkReport:
@@ -155,15 +154,15 @@ def run_exact_quantum(d: int, n: int, omega: float = 1.0, beta: float = 1.0) -> 
     checked before scaling by omega, so a subnormal omega cannot round it
     apart.
     """
-    p, table, pop = _protocol_table(d, n, omega, beta)
-    mean = float(np.sum(p * table) / n)
-    if abs(mean - (1.0 - pop)) > ATOL:
+    p, table, bs = _protocol_table(d, n, omega, beta)
+    mean = float(np.sum(p * table) / bs.n)
+    if abs(mean - (1.0 - bs.population)) > ATOL:
         raise RuntimeError(
             f"protocol average {mean!r} deviates from the quantum ceiling "
-            f"{1.0 - pop!r} in units of omega"
+            f"{1.0 - bs.population!r} in units of omega"
         )
-    return _report(d, n, omega, beta, mode="exact", shots=0, seed=None,
-                   average=omega * mean, stderr=None, per_round=omega * table)
+    return _report(bs, mode="exact", shots=0, seed=None, average=omega * mean, stderr=None,
+                   per_round=omega * table)
 
 
 def _sample_rounds(p: np.ndarray, shots: int, seed: int) -> np.ndarray:
@@ -203,10 +202,10 @@ def run_monte_carlo(d: int, n: int, omega: float = 1.0, beta: float = 1.0, *,
     shots, seed = _as_int("shots", shots), _as_int("seed", seed)
     if shots < 1:
         raise ValueError(f"Monte Carlo needs shots >= 1, got {shots}")
-    p, table, _ = _protocol_table(d, n, omega, beta)
+    p, table, bs = _protocol_table(d, n, omega, beta)
     counts = _sample_rounds(p, shots, seed)
     mean = float(np.sum(counts * table) / shots)
     var = float(np.sum(counts * (table - mean) ** 2) / (shots - 1)) if shots > 1 else 0.0
-    return _report(d, n, omega, beta, mode="monte_carlo", shots=shots, seed=seed,
+    return _report(bs, mode="monte_carlo", shots=shots, seed=seed,
                    average=omega * mean, stderr=omega * math.sqrt(var / shots),
                    per_round=omega * table)

@@ -180,14 +180,12 @@ def lhs_sup_work(bases: np.ndarray, omega: float, beta: float,
     optimize_single_state, which receives the optimizer keywords (restarts,
     tol, max_iter, seed). The achievable side is the work of the
     deterministic single-state model on the optimizer's best state,
-    omega * objective - omega * P with P the ground-level Gibbs population;
-    bound is evaluate_bounds(...).w_classical at the (d, n) of the bases,
-    the same expression with the Rastegin overlap bound in place of the
-    objective.
+    omega * objective - omega * P; bound is w_classical, the same expression
+    with the Rastegin overlap bound in place of the objective. P and bound
+    come from one evaluate_bounds(...) at the (d, n) of the bases.
     """
     n, d = bases.shape[:2]
-    bound = bounds_mod.evaluate_bounds(d, n, omega, beta).w_classical
+    bs = bounds_mod.evaluate_bounds(d, n, omega, beta)
     result = optimize_single_state(bases, **optimizer)
-    achievable = bounds_mod.work_above_reset(
-        omega, result.objective, bounds_mod.ground_state_population(d, omega, beta))
-    return achievable, bound, result
+    achievable = bounds_mod.work_above_reset(omega, result.objective, bs.population)
+    return achievable, bs.w_classical, result

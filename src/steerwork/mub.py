@@ -22,9 +22,9 @@ the computational basis (for d = 2 that is the Z eigenbasis).
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -151,18 +151,28 @@ def _as_int(name: str, value) -> int:
         raise ValueError(f"{name} must be an int, got {value!r}") from None
 
 
+def _as_dims(d, n) -> tuple[int, int]:
+    """(d, n) as Python ints; ValueError naming one that is not integral or exceeds the floats."""
+    dims = _as_int("d", d), _as_int("n", n)
+    for name, value in zip("dn", dims):
+        if abs(value) > sys.float_info.max:
+            raise ValueError(f"{name} must fit in a float, got a {value.bit_length()}-bit {name}")
+    return dims
+
+
 def check_supported(d: int, n: int) -> tuple[int, int]:
     """(d, n) as Python ints, if build_mub can construct them within MAX_BASES_BYTES.
 
-    A d or n that is not integral (numpy integers are), or bases above the
-    cap, raise ValueError; a (d, n) outside the supported families raises
+    A (d, n) that _as_dims refuses, or bases above the cap, raise
+    ValueError; a (d, n) outside the supported families raises
     MubConstructionError.
     """
-    d, n = _as_int("d", d), _as_int("n", n)
+    d, n = _as_dims(d, n)
     check_family(d, n)
     if 16 * n * d * d > MAX_BASES_BYTES:
+        # the size in floats: an int quotient above the float range raises OverflowError
         raise ValueError(
-            f"(d={d}, n={n}) needs {16 * n * d * d / 2**30:.3g} GiB of bases "
+            f"(d={d}, n={n}) needs {16.0 * n * d * d / 2**30:.3g} GiB of bases "
             f"(16*n*d^2 bytes), above the cap of {MAX_BASES_BYTES / 2**30:g} GiB"
         )
     return d, n
@@ -337,11 +347,6 @@ def verify_mub(bases: np.ndarray, tol: float = ATOL) -> MubVerification:
     if errors:
         raise errors[0]
 
-    max_dev, worst = -np.inf, (0, 0, 0, 0)
-    for block_dev, pair in rows:
-        # `>` never picks up a NaN, so the first NaN row is taken explicitly
-        if block_dev > max_dev or math.isnan(block_dev):
-            max_dev, worst = block_dev, pair
-            if math.isnan(block_dev):
-                break
+    # argmax takes the first NaN, else the first of equal maxima, as in _block_row
+    max_dev, worst = rows[int(np.argmax([dev for dev, _ in rows]))]
     return MubVerification(passed=max_dev <= tol, max_deviation=max_dev, worst_pair=worst)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from steerwork import game
-from steerwork.bounds import ground_state_population
+from steerwork.bounds import evaluate_bounds
 from steerwork.game import WorkReport
 from steerwork.lhs import OptimizerResult, random_pure_state
 from steerwork.mub import ATOL
@@ -371,8 +371,9 @@ def average_work(asm: Assemblage, bases: np.ndarray, omega: float, beta: float) 
     hold against the eigen-based ledger above; run_exact_quantum does the
     same for the one assemblage of the quantum protocol.
     """
-    table = work_table(asm, fidelities(asm, bases), ground_state_population(asm.d, omega, beta))
-    return game._report(asm.d, asm.n, omega, beta, mode="exact", shots=0, seed=None,
+    bs = evaluate_bounds(asm.d, asm.n, omega, beta)
+    table = work_table(asm, fidelities(asm, bases), bs.population)
+    return game._report(bs, mode="exact", shots=0, seed=None,
                         average=omega * float(np.sum(asm.p * table) / asm.n), stderr=None,
                         per_round=omega * table)
 

@@ -5,6 +5,9 @@ import pytest
 
 from steerwork import bounds
 from steerwork.bounds import evaluate_bounds, ground_state_population, rastegin_bound
+from steerwork.game import run_exact_quantum, run_monte_carlo
+from steerwork.lhs import lhs_sup_work
+from steerwork.mub import build_mub
 
 # Frozen from a 50-digit mpmath evaluation of the closed forms (see
 # tests/test_acceptance.py for the oracle used at acceptance time).
@@ -155,6 +158,26 @@ class TestBoundSet:
             monkeypatch.setattr(bounds, name, lambda *a, f=genuine, k=name: calls.append(k) or f(*a))
         evaluate_bounds(3, 4, 1.0, 1.0)
         assert sorted(calls) == ["ground_state_population", "rastegin_bound"]
+
+    @pytest.mark.parametrize("run", [
+        lambda: run_exact_quantum(3, 4),
+        lambda: run_monte_carlo(3, 4, shots=10),
+        lambda: lhs_sup_work(build_mub(3, 4), 1.0, 1.0, restarts=2),
+    ], ids=["exact", "monte_carlo", "lhs_sup_work"])
+    def test_one_bound_set_per_run(self, monkeypatch, run):
+        # a run validates its parameters and computes P in evaluate_bounds alone
+        calls = []
+        for name in ("evaluate_bounds", "ground_state_population"):
+            counted = lambda *a, f=getattr(bounds, name), k=name: calls.append(k) or f(*a)
+            monkeypatch.setattr(bounds, name, counted)
+        run()
+        assert sorted(calls) == ["evaluate_bounds", "ground_state_population"]
+
+    def test_population_is_p_and_not_in_json(self):
+        bs = evaluate_bounds(3, 4, 2.0, 0.5)
+        assert bs.population == ground_state_population(3, 2.0, 0.5)
+        assert list(bs.to_json_dict()) == ["d", "n", "omega", "beta", "w_classical",
+                                           "w_quantum", "xi", "rastegin", "advantage"]
 
     def test_xi_none_off_domain(self):
         bs = evaluate_bounds(2, 3, 1.0, math.inf)

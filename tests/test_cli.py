@@ -93,7 +93,13 @@ class TestBounds:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err == "error: int too large to convert to float\n"
+        assert err == {"--dim": "error: d must fit in a float, got a 1331-bit d\n",
+                       "--n-bases": "error: n must fit in a float, got a 1329-bit n\n"}[flag]
+
+    @pytest.mark.parametrize("command", ["simulate", "lhs-opt", "verify-mub"])
+    def test_huge_dim_is_named(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--dim", "1" + "0" * 400, "--n-bases", "2")
+        assert (code, out, err) == (2, "", "error: d must fit in a float, got a 1329-bit d\n")
 
 
 class TestSimulate:

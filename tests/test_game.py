@@ -657,3 +657,17 @@ class TestIntegerArguments:
     def test_non_integral_argument_is_named(self, name, call):
         with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
             call()
+
+    @pytest.mark.parametrize("name, call", [
+        ("d", lambda: evaluate_bounds(10**400, 3, 1.0, 1.0)),
+        ("n", lambda: evaluate_bounds(3, -10**400, 1.0, 1.0)),
+        ("d", lambda: run_exact_quantum(10**400, 3)),
+        ("d", lambda: run_monte_carlo(10**400, 3, shots=10)),
+        ("d", lambda: build_mub(10**400, 2)),
+        ("n", lambda: build_mub(3, 10**400)),
+    ], ids=["bounds_d", "bounds_n", "exact", "monte_carlo", "mub_d", "mub_n"])
+    def test_oversize_argument_is_named(self, name, call):
+        # an int beyond the float range is refused before any formula rounds it
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"{name} must fit in a float, got a 1329-bit {name}"

@@ -150,6 +150,13 @@ class TestBuildMub:
             assert str(err.value) == (f"(d={d}, n={n}) needs {size} GiB of bases "
                                       "(16*n*d^2 bytes), above the cap of 1 GiB")
 
+    def test_cap_message_near_the_float_limit(self):
+        # 16 n d^2 / 2^30 GiB is past the float range, although d itself is not
+        with pytest.raises(ValueError) as err:
+            check_supported(10**300, 2)
+        assert str(err.value) == (f"(d={10**300}, n=2) needs inf GiB of bases "
+                                  "(16*n*d^2 bytes), above the cap of 1 GiB")
+
     def test_error_names_supported_families(self):
         with pytest.raises(MubConstructionError, match="odd prime"):
             build_mub(6, 3)
@@ -219,6 +226,9 @@ class TestVerifyMub:
             report = verify_mub(bases)
         assert not report.passed
         assert np.isnan(report.max_deviation)
+        # every overlap with vector (x, 2) is NaN; the first such pair in
+        # (x, a, y, b) order has vector (0, 0), although rows x > 0 hold NaNs too
+        assert report.worst_pair == (0, 0, x, 2)
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
     def test_matches_exhaustive_check(self, d):
