@@ -35,8 +35,9 @@ EXIT_VERIFY_FAIL = 5
 # Monte Carlo time is linear in --shots and nothing is printed until the end;
 # 10^9 shots already take tens of seconds, so a larger count is refused.
 MAX_SHOTS = 10**9
-# The lhs-opt budget likewise: at d = 61, 10^4 restarts at the default --tol
-# take about 25 s, and one restart of 10^5 iterations at --tol 0 about 40 s.
+# The lhs-opt budget likewise: at d = 61 (2 vCPU, 2026-10-19), 10^4 restarts at the
+# default --tol take about 55 s; 10^5 computed steps would take about 120 s, though
+# one restart at --tol 0 stops at its fixed point and takes about 0.2 s.
 MAX_RESTARTS = 10**4
 MAX_ITER = 10**5
 # Monte Carlo keys a Philox generator with the seed, and Philox keys are

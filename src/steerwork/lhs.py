@@ -13,9 +13,9 @@ extracts omega * objective(psi) - omega * P exactly, with P the ground-level
 Gibbs population (bounds.work_above_reset, the shape of w_classical), so
 no assemblage is built here. Finding the best pure state is the nonconvex
 problem max_psi (1/n) sum_x max_a |<phi_x^a|psi>|^2, handled by
-alternating maximization with random restarts: the bases are conjugated
-once per call, and one overlap table per iterate gives both the objective
-and the next picks. The optimum is the largest lambda_max of
+alternating maximization with random restarts: one overlap table per
+iterate gives both the objective and the next picks, and a restart stops
+once its picks repeat. The optimum is the largest lambda_max of
 (1/n) sum_x |phi_x^{a(x)}><phi_x^{a(x)}| over the d^n pick functions a(x);
 qubit_oracle enumerates the 2^n of them at d = 2. General hidden-state
 models, the game pipeline on them and a Bloch-sphere grid search live in
@@ -83,9 +83,9 @@ def principal_eigenvector(m: np.ndarray) -> np.ndarray:
     return v[:, int(np.argmax(w))].copy()
 
 
-def _overlaps(conj: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, float]:
-    """Overlap table |<phi_x^a|psi>|^2 from the conjugated bases, and its objective."""
-    amps = np.abs(conj @ psi) ** 2
+def _overlaps(bases: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, float]:
+    """Overlap table |<phi_x^a|psi>|^2, taken as |phi^T psi*|^2, and its objective."""
+    amps = np.abs(bases @ psi.conj()) ** 2
     return amps, float(amps.max(axis=1).mean())
 
 
@@ -106,7 +106,11 @@ def optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_RESTARTS,
     rounding raises RuntimeError. Restarts use seeds spawned from the
     master seed and the best restart wins, ties going to the earliest.
     Each iterate's overlap table |<phi_x^a|psi>|^2 gives both its
-    objective and the next picks. bases is the (n, d, d) array of
+    objective and the next picks. A step whose picks repeat the previous
+    step's would rebuild the same state, a gain of exactly 0: the restart
+    stops there, counting that step if tol > 0 (converged) and the rest of
+    max_iter otherwise (not converged), so iterations and converged read as
+    if every step ran. bases is the (n, d, d) array of
     mub.build_mub. restarts, max_iter and seed must be integral (numpy
     integers are), or ValueError names the one that is not.
     """
@@ -117,7 +121,6 @@ def optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_RESTARTS,
     if max_iter < 1:
         raise ValueError(f"need at least one iteration, got max_iter={max_iter}")
     n, d = bases.shape[:2]
-    conj = bases.conj()
     best_obj, best_state, best_converged, total_iters = -math.inf, None, False, 0
     root = np.random.SeedSequence(seed)
 
@@ -125,11 +128,17 @@ def optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_RESTARTS,
         # one child at a time: the same spawn keys as spawn(restarts), in O(1) memory
         rng = np.random.default_rng(root.spawn(1)[0])
         psi = random_pure_state(d, rng)
-        amps, obj = _overlaps(conj, psi)
-        converged = False
-        for _ in range(max_iter):
-            psi = _pick_state(bases[np.arange(n), np.argmax(amps, axis=1)])
-            amps, new_obj = _overlaps(conj, psi)
+        amps, obj = _overlaps(bases, psi)
+        converged, last = False, None
+        for step in range(max_iter):
+            picks = np.argmax(amps, axis=1)
+            if last is not None and np.array_equal(picks, last):
+                converged = 0.0 < tol  # the gain test below, on the skipped step's gain of 0
+                total_iters += 1 if converged else max_iter - step
+                break
+            last = picks
+            psi = _pick_state(bases[np.arange(n), picks])
+            amps, new_obj = _overlaps(bases, psi)
             total_iters += 1
             if new_obj < obj - 1e-12:
                 raise RuntimeError(
@@ -161,11 +170,10 @@ def qubit_oracle(bases: np.ndarray) -> OptimizerResult:
     n, d = bases.shape[:2]
     if d != 2:
         raise ValueError(f"the qubit oracle requires d = 2, got d={d}")
-    conj = bases.conj()
     best_obj, best_state = -math.inf, None
     for picks in itertools.product(range(2), repeat=n):
         psi = _pick_state(bases[np.arange(n), picks])
-        obj = _overlaps(conj, psi)[1]
+        obj = _overlaps(bases, psi)[1]
         if obj > best_obj:
             best_obj, best_state = obj, psi
     return OptimizerResult(best_state=best_state, objective=best_obj, restarts_used=1,

@@ -15,6 +15,7 @@ and the tests hold its tables equal to this path bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,8 @@ import numpy as np
 from steerwork import game
 from steerwork.bounds import evaluate_bounds
 from steerwork.game import WorkReport
-from steerwork.lhs import OptimizerResult, random_pure_state
+from steerwork.lhs import (DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_TOL,
+                           OptimizerResult, principal_eigenvector, random_pure_state)
 from steerwork.mub import ATOL
 
 ATOL_CONSTRUCT = 1e-12
@@ -427,6 +429,72 @@ def mub_overlap_objective(bases: np.ndarray, psi: np.ndarray) -> float:
     """(1/n) sum_x max_a |<phi_x^a|psi>|^2 for a pure state psi."""
     amps = np.abs(bases.conj() @ psi) ** 2
     return float(amps.max(axis=1).mean())
+
+
+def reference_optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_RESTARTS,
+                                    tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                                    seed: int = DEFAULT_SEED) -> OptimizerResult:
+    """lhs.optimize_single_state as it ran before its fixed-point stop.
+
+    Every alternating step is computed, a repeat of the previous picks
+    included, on a conjugated copy of the bases; the loop ends only on the
+    gain test or max_iter. The package's optimizer must report the same
+    objective, iterations, converged flag and state bytes.
+    """
+    n, d = bases.shape[:2]
+    conj = bases.conj()
+    best_obj, best_state, best_converged, total_iters = -math.inf, None, False, 0
+    root = np.random.SeedSequence(seed)
+
+    def overlaps(psi):
+        amps = np.abs(conj @ psi) ** 2
+        return amps, float(amps.max(axis=1).mean())
+
+    def pick_state(picked):
+        return principal_eigenvector(picked.T @ picked.conj() / len(picked))
+
+    for _ in range(restarts):
+        rng = np.random.default_rng(root.spawn(1)[0])
+        psi = random_pure_state(d, rng)
+        amps, obj = overlaps(psi)
+        converged = False
+        for _ in range(max_iter):
+            psi = pick_state(bases[np.arange(n), np.argmax(amps, axis=1)])
+            amps, new_obj = overlaps(psi)
+            total_iters += 1
+            if new_obj < obj - 1e-12:
+                raise RuntimeError(
+                    f"objective decreased from {obj!r} to {new_obj!r}; "
+                    f"the alternating steps must be monotone"
+                )
+            gain = new_obj - obj
+            obj = new_obj
+            if gain < tol:
+                converged = True
+                break
+        if obj > best_obj:
+            best_obj = obj
+            best_state = psi
+            best_converged = converged
+
+    return OptimizerResult(best_state=best_state, objective=best_obj,
+                           restarts_used=restarts, iterations=total_iters,
+                           converged=best_converged)
+
+
+def reference_qubit_oracle(bases: np.ndarray) -> OptimizerResult:
+    """lhs.qubit_oracle on a conjugated copy of the bases, as it ran before."""
+    n = bases.shape[0]
+    conj = bases.conj()
+    best_obj, best_state = -math.inf, None
+    for picks in itertools.product(range(2), repeat=n):
+        picked = bases[np.arange(n), picks]
+        psi = principal_eigenvector(picked.T @ picked.conj() / len(picked))
+        obj = float((np.abs(conj @ psi) ** 2).max(axis=1).mean())
+        if obj > best_obj:
+            best_obj, best_state = obj, psi
+    return OptimizerResult(best_state=best_state, objective=best_obj, restarts_used=1,
+                           iterations=2**n, converged=True)
 
 
 # Points per axis of bloch_grid_search's initial (theta, phi) grid, and
