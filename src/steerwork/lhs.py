@@ -43,8 +43,9 @@ class OptimizerResult:
 
     objective is (1/n) sum_x max_a |<phi_x^a|best_state>|^2; it always lies
     in [1/d, rastegin_bound(d, n)] up to rounding. iterations counts the
-    total alternating steps over all restarts; converged reports whether
-    the best restart stopped on the gain tolerance rather than max_iter.
+    alternating steps taken over all restarts; converged reports whether
+    the best restart stopped at its fixed point or on the gain tolerance
+    rather than at max_iter.
     """
 
     best_state: np.ndarray
@@ -73,11 +74,11 @@ def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
 def principal_eigenvector(m: np.ndarray) -> np.ndarray:
     """Unit eigenvector of the largest eigenvalue of m, which must be Hermitian within ATOL.
 
-    A non-Hermitian m raises ValueError. A tie goes to the first such column
-    of eigh's ascending output; the global phase is eigh's.
+    A non-Hermitian m, or one with a NaN, raises ValueError. A tie goes to
+    the first such column of eigh's ascending output; the global phase is eigh's.
     """
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > ATOL:
+    if not dev <= ATOL:
         raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {dev:.3e} > {ATOL:.1e}")
     w, v = np.linalg.eigh(m)
     return v[:, int(np.argmax(w))].copy()
@@ -106,13 +107,12 @@ def optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_RESTARTS,
     rounding raises RuntimeError. Restarts use seeds spawned from the
     master seed and the best restart wins, ties going to the earliest.
     Each iterate's overlap table |<phi_x^a|psi>|^2 gives both its
-    objective and the next picks. A step whose picks repeat the previous
-    step's would rebuild the same state, a gain of exactly 0: the restart
-    stops there, counting that step if tol > 0 (converged) and the rest of
-    max_iter otherwise (not converged), so iterations and converged read as
-    if every step ran. bases is the (n, d, d) array of
-    mub.build_mub. restarts, max_iter and seed must be integral (numpy
-    integers are), or ValueError names the one that is not.
+    objective and the next picks. A restart stops, converged, at a gain
+    below tol or at its fixed point: a step whose picks repeat the previous
+    step's would rebuild the same state, so it counts as one step and
+    computes nothing. bases is the (n, d, d) array of mub.build_mub.
+    restarts, max_iter and seed must be integral (numpy integers are), or
+    ValueError names the one that is not.
     """
     restarts, max_iter = _as_int("restarts", restarts), _as_int("max_iter", max_iter)
     seed = _as_int("seed", seed)
@@ -130,11 +130,11 @@ def optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_RESTARTS,
         psi = random_pure_state(d, rng)
         amps, obj = _overlaps(bases, psi)
         converged, last = False, None
-        for step in range(max_iter):
+        for _ in range(max_iter):
             picks = np.argmax(amps, axis=1)
             if last is not None and np.array_equal(picks, last):
-                converged = 0.0 < tol  # the gain test below, on the skipped step's gain of 0
-                total_iters += 1 if converged else max_iter - step
+                converged = True  # the next state would be this one: a fixed point
+                total_iters += 1
                 break
             last = picks
             psi = _pick_state(bases[np.arange(n), picks])

@@ -205,11 +205,8 @@ def build_mub(d: int, n: int) -> np.ndarray:
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+    """CPUs in this process's affinity mask; _scan_workers calls it only on Linux."""
+    return len(os.sched_getaffinity(0))
 
 
 @functools.cache

@@ -433,6 +433,21 @@ def test_one_fidelity_table_per_run(monkeypatch, shots):
     assert np.array_equal(report.per_round, 2.0 * (checked[0].real - pop))
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 23])
+def test_rounding_residue_scales_with_omega(d):
+    # each round's F - P carries about eps of rounding, which omega scales:
+    # where P rounds to 1 (omega = 1.7e308), average and per_round sit up to
+    # 5.2 and 8 eps * omega from w_quantum = 0 at d = 23; where they are
+    # subnormal, one step of that grid more (the -0 of beta = inf)
+    eps = np.finfo(float).eps
+    for omega, beta in [(1.0, 1.0), (1.7e308, 1.0), (2.2e-308, math.inf)]:
+        bound = d * eps * omega + math.ulp(0.0)
+        for report in (run_exact_quantum(d, d + 1, omega, beta),
+                       run_monte_carlo(d, d + 1, omega, beta, shots=100, seed=d)):
+            assert abs(report.average - report.w_quantum) <= bound, (omega, report.mode)
+            assert np.max(np.abs(report.per_round - report.w_quantum)) <= bound, omega
+
+
 @pytest.mark.parametrize("d,n", [(2, 3), (3, 4), (4, 2), (5, 6), (7, 8), (23, 24)])
 def test_protocol_tables_match_dense_oracle(d, n):
     # the production tables and the general measurement path, bit for bit

@@ -24,6 +24,7 @@ from oracles import (
     tensor_product,
 )
 from steerwork.lhs import (
+    DEFAULT_TOL,
     lhs_sup_work,
     optimize_single_state,
     qubit_oracle,
@@ -173,6 +174,13 @@ class TestOptimizeSingleState:
         with pytest.raises(ValueError, match=match):
             optimize_single_state(build_mub(2, 3), **kwargs)
 
+    def test_nan_amplitude_rejected(self):
+        # NaN fails every comparison, so the check must read it as a failure
+        bases = build_mub(3, 4)
+        bases[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            optimize_single_state(bases)
+
     def test_memory_does_not_grow_with_restarts(self):
         # spawning every restart's seed up front peaked at about 0.7 MB for
         # 2,000 restarts; one child at a time keeps the peak near 7 KB
@@ -201,7 +209,12 @@ def eigh_calls(monkeypatch):
 
 
 class TestFixedPointStop:
-    """A restart stops when its picks repeat, and reports what the full loop would."""
+    """A restart stops when its picks repeat, converged, at every tol.
+
+    The full loop in oracles computes that repeated step, a gain of exactly
+    0, so it stops there only at a tol above 0: its state and objective
+    match at the same budget, its step count and flag at tol >= ulp(0).
+    """
 
     @pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 4), (5, 6), (7, 8), (31, 32),
                                      (6, 2), (31, 5)])
@@ -211,13 +224,15 @@ class TestFixedPointStop:
     ], ids=["default", "tol0", "iter1", "iter2", "tol1e-3", "tol-1"])
     def test_matches_the_full_loop(self, d, n, budget):
         bases = build_mub(d, n)
+        stopping = {**budget, "tol": max(budget.get("tol", DEFAULT_TOL), math.ulp(0.0))}
         for seed in range(5):
             got = optimize_single_state(bases, restarts=12, seed=seed, **budget)
             want = reference_optimize_single_state(bases, restarts=12, seed=seed, **budget)
+            stop = reference_optimize_single_state(bases, restarts=12, seed=seed, **stopping)
             assert got.objective == want.objective, seed
-            assert got.iterations == want.iterations, seed
-            assert got.converged is want.converged, seed
             assert got.best_state.tobytes() == want.best_state.tobytes(), seed
+            assert got.iterations == stop.iterations, seed
+            assert got.converged is stop.converged, seed
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_qubit_oracle_matches_conjugated_bases(self, n):
@@ -234,11 +249,11 @@ class TestFixedPointStop:
         assert eigh_calls[0] == result.iterations - 32 == 81
 
     def test_zero_tol_does_not_spin(self, eigh_calls):
-        # with tol = 0 the full loop repeats the fixed point up to max_iter
+        # with tol = 0 the full loop repeats the fixed point up to max_iter;
+        # here the restart stops there, and only the repeat makes no eigh call
         result = optimize_single_state(build_mub(61, 62), restarts=1, max_iter=10**4, tol=0)
-        assert result.iterations == 10**4
-        assert result.converged is False
-        assert eigh_calls[0] < 100
+        assert result.converged is True
+        assert result.iterations - 1 == eigh_calls[0] < 100
 
 
 class TestBlochGridSearch:
@@ -318,6 +333,11 @@ class TestQubitOracle:
     def test_rejects_higher_dimensions(self):
         with pytest.raises(ValueError, match="d = 2"):
             qubit_oracle(build_mub(3, 2))
+
+    def test_rejects_nan_bases(self):
+        # every candidate would score NaN, and none would become the best
+        with pytest.raises(ValueError, match="not Hermitian"):
+            qubit_oracle(np.full((3, 2, 2), np.nan, dtype=complex))
 
 
 class TestLhsSupWork:

@@ -189,6 +189,13 @@ class TestPrincipalEigenvector:
         with pytest.raises(ValueError, match="not Hermitian"):
             principal_eigenvector(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_rejects_nan(self):
+        # a NaN deviation fails no "> ATOL" test; eigh then fails to converge
+        m = np.eye(3, dtype=complex)
+        m[1, 1] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            principal_eigenvector(m)
+
     def test_qubit_mub_average(self):
         # average of the +z/+x/+y projectors: the 2x2 Bloch form
         # I/2 + (sx+sy+sz)/6 has principal axis (1,1,1)/sqrt(3), whose
