@@ -22,8 +22,7 @@ import sys
 
 from .bounds import evaluate_bounds, json_float
 from .game import run_exact_quantum, run_monte_carlo
-from .lhs import (DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_TOL,
-                  lhs_sup_work, qubit_oracle)
+from .lhs import DEFAULT_RESTARTS, DEFAULT_SEED, lhs_sup_work, qubit_oracle
 from .mub import ATOL, MubConstructionError, build_mub, check_family, verify_mub
 
 EXIT_OK = 0
@@ -35,11 +34,9 @@ EXIT_VERIFY_FAIL = 5
 # Monte Carlo time is linear in --shots and nothing is printed until the end;
 # 10^9 shots already take tens of seconds, so a larger count is refused.
 MAX_SHOTS = 10**9
-# The lhs-opt budget likewise: at d = 61 (2 vCPU, 2026-10-19), 10^4 restarts at the
-# default --tol take about 55 s; 10^5 computed steps would take about 120 s, though
-# one restart at --tol 0 stops at its fixed point after 4 steps, 0.17 s in all.
+# The lhs-opt budget likewise: at d = 61 (2 vCPU, 2026-10-20), 10^4 restarts
+# take about 60 s, each stopping at its fixed point after about 5 steps.
 MAX_RESTARTS = 10**4
-MAX_ITER = 10**5
 # Monte Carlo keys a Philox generator with the seed, and Philox keys are
 # 128-bit; lhs-opt shares the range so that one seed works for both.
 MAX_SEED = 2**128 - 1
@@ -162,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--restarts", type=_int_in(1, MAX_RESTARTS), default=DEFAULT_RESTARTS)
     p.add_argument("--seed", type=_int_in(0, MAX_SEED), default=DEFAULT_SEED)
-    p.add_argument("--tol", type=_finite_float(positive=False), default=DEFAULT_TOL)
-    p.add_argument("--max-iter", type=_int_in(1, MAX_ITER), default=DEFAULT_MAX_ITER)
     p.set_defaults(func=cmd_lhs_opt)
 
     p = subs.add_parser("verify-mub", help="certify the overlap relations of a constructed family")
@@ -217,9 +212,8 @@ def cmd_scan(args) -> int:
 
 def cmd_lhs_opt(args) -> int:
     bases = build_mub(args.dim, args.n_bases)
-    achievable, bound, result = lhs_sup_work(
-        bases, args.omega, args.beta, restarts=args.restarts, tol=args.tol,
-        max_iter=args.max_iter, seed=args.seed)
+    achievable, bound, result = lhs_sup_work(bases, args.omega, args.beta,
+                                             restarts=args.restarts, seed=args.seed)
     gap = bound - achievable
     oracle = qubit_oracle(bases) if args.dim == 2 else None
     agreement = abs(oracle.objective - result.objective) if oracle else None

@@ -24,8 +24,8 @@ import numpy as np
 from steerwork import game
 from steerwork.bounds import evaluate_bounds
 from steerwork.game import WorkReport
-from steerwork.lhs import (DEFAULT_MAX_ITER, DEFAULT_RESTARTS, DEFAULT_SEED, DEFAULT_TOL,
-                           OptimizerResult, principal_eigenvector, random_pure_state)
+from steerwork.lhs import (DEFAULT_RESTARTS, DEFAULT_SEED, OptimizerResult,
+                           principal_eigenvector, random_pure_state)
 from steerwork.mub import ATOL
 
 ATOL_CONSTRUCT = 1e-12
@@ -431,15 +431,21 @@ def mub_overlap_objective(bases: np.ndarray, psi: np.ndarray) -> float:
     return float(amps.max(axis=1).mean())
 
 
+# Default gain tolerance and step budget of the full loop below.
+REFERENCE_TOL, REFERENCE_MAX_ITER = 1e-12, 500
+
+
 def reference_optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_RESTARTS,
-                                    tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                                    tol: float = REFERENCE_TOL,
+                                    max_iter: int = REFERENCE_MAX_ITER,
                                     seed: int = DEFAULT_SEED) -> OptimizerResult:
     """lhs.optimize_single_state as it ran before its fixed-point stop.
 
     Every alternating step is computed, a repeat of the previous picks
     included, on a conjugated copy of the bases; the loop ends only on the
-    gain test or max_iter. The package's optimizer must report the same
-    objective, iterations, converged flag and state bytes.
+    gain test (gain < tol) or max_iter. At tol = ulp(0) and max_iter =
+    lhs.MAX_STEPS, the package's optimizer must report the same objective,
+    iterations, converged flag and state bytes.
     """
     n, d = bases.shape[:2]
     conj = bases.conj()

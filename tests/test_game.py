@@ -653,7 +653,7 @@ class TestIntegerArguments:
         lambda: run_monte_carlo(3, 4, shots=10, seed=np.int64(2)),
         lambda: run_monte_carlo(np.int32(3), 4, shots=np.uint8(10)),
         lambda: optimize_single_state(build_mub(3, 4), restarts=np.int64(2),
-                                      max_iter=np.int16(20), seed=np.int64(1)),
+                                      seed=np.int64(1)),
     ], ids=["bounds", "exact", "monte_carlo_seed", "monte_carlo_shots", "optimizer"])
     def test_report_round_trips_json(self, call):
         payload = call().to_json_dict()
@@ -665,9 +665,8 @@ class TestIntegerArguments:
         ("shots", lambda: run_monte_carlo(3, 4, shots=2.5)),
         ("seed", lambda: run_monte_carlo(3, 4, shots=10, seed=2.5)),
         ("restarts", lambda: optimize_single_state(build_mub(2, 3), restarts=2.5)),
-        ("max_iter", lambda: optimize_single_state(build_mub(2, 3), max_iter=2.5)),
         ("seed", lambda: optimize_single_state(build_mub(2, 3), seed=np.float64(1.0))),
-    ], ids=["bounds_d", "bounds_n", "shots", "monte_carlo_seed", "restarts", "max_iter",
+    ], ids=["bounds_d", "bounds_n", "shots", "monte_carlo_seed", "restarts",
             "optimizer_seed"])
     def test_non_integral_argument_is_named(self, name, call):
         with pytest.raises(ValueError, match=f"^{name} must be an int, got "):

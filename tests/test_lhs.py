@@ -23,8 +23,8 @@ from oracles import (
     reference_qubit_oracle,
     tensor_product,
 )
+from steerwork import lhs
 from steerwork.lhs import (
-    DEFAULT_TOL,
     lhs_sup_work,
     optimize_single_state,
     qubit_oracle,
@@ -166,10 +166,7 @@ class TestOptimizeSingleState:
         result = optimize_single_state(bases, restarts=8, seed=7)
         assert abs(result.objective - mub_overlap_objective(bases, result.best_state)) < 1e-14
 
-    @pytest.mark.parametrize("kwargs, match", [
-        (dict(restarts=0), "restart"), (dict(max_iter=0), "max_iter"),
-        (dict(max_iter=-1), "max_iter"),
-    ])
+    @pytest.mark.parametrize("kwargs, match", [(dict(restarts=0), "restart")])
     def test_invalid_budget_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             optimize_single_state(build_mub(2, 3), **kwargs)
@@ -178,17 +175,18 @@ class TestOptimizeSingleState:
         # NaN fails every comparison, so the check must read it as a failure
         bases = build_mub(3, 4)
         bases[1, 2, 0] = np.nan
-        with pytest.raises(ValueError, match="not Hermitian"):
+        with pytest.raises(ValueError, match="^matrix has a NaN or infinite entry$"):
             optimize_single_state(bases)
 
-    def test_memory_does_not_grow_with_restarts(self):
+    def test_memory_does_not_grow_with_restarts(self, monkeypatch):
         # spawning every restart's seed up front peaked at about 0.7 MB for
         # 2,000 restarts; one child at a time keeps the peak near 7 KB
+        monkeypatch.setattr(lhs, "MAX_STEPS", 1)
         bases = build_mub(3, 4)
-        optimize_single_state(bases, restarts=2, max_iter=1)
+        optimize_single_state(bases, restarts=2)
         tracemalloc.start()
         try:
-            optimize_single_state(bases, restarts=2000, max_iter=1)
+            optimize_single_state(bases, restarts=2000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -209,30 +207,28 @@ def eigh_calls(monkeypatch):
 
 
 class TestFixedPointStop:
-    """A restart stops when its picks repeat, converged, at every tol.
+    """A restart stops, converged, at its fixed point, or unconverged at MAX_STEPS.
 
-    The full loop in oracles computes that repeated step, a gain of exactly
-    0, so it stops there only at a tol above 0: its state and objective
-    match at the same budget, its step count and flag at tol >= ulp(0).
+    The full loop in oracles computes the repeated step too, a gain of
+    exactly 0, and stops on gain < tol. At tol = ulp(0) that is gain <= 0,
+    the optimizer's rule, so at the same step cap the two agree bit for bit.
     """
 
     @pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 4), (5, 6), (7, 8), (31, 32),
                                      (6, 2), (31, 5)])
-    @pytest.mark.parametrize("budget", [
-        dict(), dict(tol=0.0, max_iter=40), dict(max_iter=1), dict(max_iter=2),
-        dict(tol=1e-3), dict(tol=-1.0, max_iter=40),
-    ], ids=["default", "tol0", "iter1", "iter2", "tol1e-3", "tol-1"])
-    def test_matches_the_full_loop(self, d, n, budget):
+    @pytest.mark.parametrize("cap", [lhs.MAX_STEPS, 1, 2, 40],
+                             ids=["default", "iter1", "iter2", "iter40"])
+    def test_matches_the_full_loop(self, d, n, cap, monkeypatch):
+        monkeypatch.setattr(lhs, "MAX_STEPS", cap)
         bases = build_mub(d, n)
-        stopping = {**budget, "tol": max(budget.get("tol", DEFAULT_TOL), math.ulp(0.0))}
         for seed in range(5):
-            got = optimize_single_state(bases, restarts=12, seed=seed, **budget)
-            want = reference_optimize_single_state(bases, restarts=12, seed=seed, **budget)
-            stop = reference_optimize_single_state(bases, restarts=12, seed=seed, **stopping)
+            got = optimize_single_state(bases, restarts=12, seed=seed)
+            want = reference_optimize_single_state(bases, restarts=12, seed=seed,
+                                                   tol=math.ulp(0.0), max_iter=cap)
             assert got.objective == want.objective, seed
             assert got.best_state.tobytes() == want.best_state.tobytes(), seed
-            assert got.iterations == stop.iterations, seed
-            assert got.converged is stop.converged, seed
+            assert got.iterations == want.iterations, seed
+            assert got.converged is want.converged, seed
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_qubit_oracle_matches_conjugated_bases(self, n):
@@ -248,10 +244,10 @@ class TestFixedPointStop:
         assert result.converged
         assert eigh_calls[0] == result.iterations - 32 == 81
 
-    def test_zero_tol_does_not_spin(self, eigh_calls):
-        # with tol = 0 the full loop repeats the fixed point up to max_iter;
+    def test_does_not_spin(self, eigh_calls):
+        # the full loop at tol = 0 repeated the fixed point up to its budget;
         # here the restart stops there, and only the repeat makes no eigh call
-        result = optimize_single_state(build_mub(61, 62), restarts=1, max_iter=10**4, tol=0)
+        result = optimize_single_state(build_mub(61, 62), restarts=1)
         assert result.converged is True
         assert result.iterations - 1 == eigh_calls[0] < 100
 
@@ -336,7 +332,7 @@ class TestQubitOracle:
 
     def test_rejects_nan_bases(self):
         # every candidate would score NaN, and none would become the best
-        with pytest.raises(ValueError, match="not Hermitian"):
+        with pytest.raises(ValueError, match="^matrix has a NaN or infinite entry$"):
             qubit_oracle(np.full((3, 2, 2), np.nan, dtype=complex))
 
 

@@ -171,13 +171,13 @@ VALID_ARGV = {
                  "--shots": "3", "--seed": "0"},
     "scan": {"--dims": "2,3", "--omega": "1", "--beta": "1"},
     "lhs-opt": {"--dim": "3", "--n-bases": "4", "--omega": "1", "--beta": "1",
-                "--restarts": "2", "--seed": "0", "--tol": "1e-12", "--max-iter": "50"},
+                "--restarts": "2", "--seed": "0"},
     "verify-mub": {"--dim": "3", "--n-bases": "4", "--tol": "1e-10"},
 }
 HOSTILE = ["nan", "inf", "-inf", "-1", "0", "-0", "1e309", "1e-400", "5e-324", "1e300", "2.5",
            "", "0x10", "1_000", "\u096f", "1" + "0" * 400]
 # flags whose value sets the size of the run
-SIZE_FLAGS = {"--dim", "--n-bases", "--shots", "--restarts", "--max-iter", "--dims"}
+SIZE_FLAGS = {"--dim", "--n-bases", "--shots", "--restarts", "--dims"}
 EXIT_CODES = {0, 2, 3, 4, 5}
 
 

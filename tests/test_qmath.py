@@ -190,10 +190,17 @@ class TestPrincipalEigenvector:
             principal_eigenvector(np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_rejects_nan(self):
-        # a NaN deviation fails no "> ATOL" test; eigh then fails to converge
+        # a NaN fails every comparison, so it is named before the Hermiticity test
         m = np.eye(3, dtype=complex)
         m[1, 1] = np.nan
-        with pytest.raises(ValueError, match="not Hermitian"):
+        with pytest.raises(ValueError, match="^matrix has a NaN or infinite entry$"):
+            principal_eigenvector(m)
+
+    def test_rejects_inf(self):
+        # inf - inf on the diagonal would make the deviation NaN as well
+        m = np.eye(3, dtype=complex)
+        m[2, 2] = np.inf
+        with pytest.raises(ValueError, match="^matrix has a NaN or infinite entry$"):
             principal_eigenvector(m)
 
     def test_qubit_mub_average(self):
