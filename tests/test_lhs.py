@@ -245,8 +245,8 @@ class TestFixedPointStop:
         assert eigh_calls[0] == result.iterations - 32 == 81
 
     def test_does_not_spin(self, eigh_calls):
-        # the full loop at tol = 0 repeated the fixed point up to its budget;
-        # here the restart stops there, and only the repeat makes no eigh call
+        # the restart stops at its fixed point, far below the step cap, and
+        # only the repeat makes no eigh call
         result = optimize_single_state(build_mub(61, 62), restarts=1)
         assert result.converged is True
         assert result.iterations - 1 == eigh_calls[0] < 100
