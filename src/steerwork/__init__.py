@@ -14,7 +14,7 @@ from .game import WorkReport, run_exact_quantum
 from .lhs import OptimizerResult, lhs_sup_work, optimize_single_state, qubit_oracle
 from .mub import MubConstructionError, build_mub
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "BoundSet",

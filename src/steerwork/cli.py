@@ -2,11 +2,15 @@
 
 Subcommands: bounds (closed forms), simulate (exact or Monte Carlo game),
 scan (dimension sweep at n = d+1), lhs-opt (single-state optimizer against
-the classical ceiling), verify-mub (overlap certification).
+the classical ceiling), verify-mub (overlap certification to within
+mub.ATOL).
 
-Exit codes: 0 ok, 2 bad flags or not enough memory, 3 advantage ratio
-undefined (bounds are still printed), 4 unsupported (d, n) construction,
-5 verification failure.
+The parser checks syntax and the CLI's own budgets (--shots, --restarts,
+--seed). The library checks (d, n, omega, beta), before any array is built.
+
+Exit codes: 0 ok, 2 bad flags or parameters, or not enough memory, 3
+advantage ratio undefined (bounds are still printed), 4 unsupported (d, n)
+construction, 5 verification failure.
 
 Formats: text renders 9 significant digits, json and csv carry full double
 precision. Zero temperature (beta = inf) is written as the string "inf" in
@@ -42,32 +46,22 @@ MAX_RESTARTS = 10**4
 MAX_SEED = 2**128 - 1
 
 
-def _fmt(value) -> str:
-    """Text rendering: 9 significant digits for floats."""
+def _cell(value, csv: bool = False) -> str:
+    """One value as text (9 significant digits, "undefined" for None) or as
+    CSV (full double precision, an empty cell for None)."""
     if value is None:
-        return "undefined"
+        return "" if csv else "undefined"
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
-        return format(value, ".9g")
-    return str(value)
-
-
-def _csv_cell(value) -> str:
-    """CSV rendering: full double precision, empty cell for undefined."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return repr(value)
+        return repr(value) if csv else format(value, ".9g")
     return str(value)
 
 
 def _labelled(fields: dict) -> list[str]:
     """Text lines "key = value", with the keys padded to the longest one."""
     width = max(map(len, fields))
-    return [f"{key:<{width}} = {_fmt(value)}" for key, value in fields.items()]
+    return [f"{key:<{width}} = {_cell(value)}" for key, value in fields.items()]
 
 
 def _render(args, payload, rows: list[dict], text: list[str]) -> None:
@@ -76,7 +70,7 @@ def _render(args, payload, rows: list[dict], text: list[str]) -> None:
         out = json.dumps(payload, indent=2)
     elif args.format == "csv":
         out = "\n".join([",".join(rows[0])]
-                        + [",".join(_csv_cell(v) for v in row.values()) for row in rows])
+                        + [",".join(_cell(v, csv=True) for v in row.values()) for row in rows])
     else:
         out = "\n".join(text)
     if args.out is not None:
@@ -84,20 +78,6 @@ def _render(args, payload, rows: list[dict], text: list[str]) -> None:
             fh.write(out + "\n")
     else:
         print(out)
-
-
-def _finite_float(*, positive: bool):
-    """argparse type: a finite float that is > 0 when positive, else >= 0."""
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-        if not math.isfinite(value) or value < 0 or (positive and value == 0):
-            raise argparse.ArgumentTypeError(
-                f"must be finite and {'> 0' if positive else '>= 0'}, got {text!r}")
-        return value
-    return parse
 
 
 def _int_in(low: int, high: int):
@@ -118,14 +98,15 @@ def _add_output(sub, default: str = "text"):
     sub.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
 
-def _add_common(sub):
+def _add_dims(sub):
     sub.add_argument("--dim", type=int, required=True, help="Hilbert-space dimension d")
     sub.add_argument("--n-bases", type=int, required=True, help="number of measurement settings n")
-    sub.add_argument("--omega", type=_finite_float(positive=True), default=1.0,
-                     help="energy gap (default 1.0)")
+
+
+def _add_energies(sub):
+    sub.add_argument("--omega", type=float, default=1.0, help="energy gap (default 1.0)")
     sub.add_argument("--beta", type=float, default=1.0,
                      help="inverse temperature; 'inf' = zero temperature (default 1.0)")
-    _add_output(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,38 +116,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
+    # each subcommand keeps its parser, which main asks to report unknown flags
     p = subs.add_parser("bounds", help="closed-form work ceilings and advantage ratio")
-    _add_common(p)
-    p.set_defaults(func=cmd_bounds)
+    _add_dims(p)
+    _add_energies(p)
+    _add_output(p)
+    p.set_defaults(func=cmd_bounds, parser=p)
 
     p = subs.add_parser("simulate", help="run the game exactly (shots=0) or by sampling")
-    _add_common(p)
+    _add_dims(p)
+    _add_energies(p)
+    _add_output(p)
     p.add_argument("--shots", type=_int_in(0, MAX_SHOTS), default=0,
                    help=f"0 = exact mode (default); at most {MAX_SHOTS}")
     p.add_argument("--seed", type=_int_in(0, MAX_SEED), default=0,
                    help="RNG seed, from 0 to 2**128 - 1 (default 0)")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, parser=p)
 
     p = subs.add_parser("scan", help="sweep dimensions at n = d+1 and tabulate the advantage")
     p.add_argument("--dims", required=True,
                    help="comma-separated list of dimensions, e.g. 2,3,5,7")
-    p.add_argument("--omega", type=_finite_float(positive=True), default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
+    _add_energies(p)
     _add_output(p, default="csv")
-    p.set_defaults(func=cmd_scan)
+    p.set_defaults(func=cmd_scan, parser=p)
 
     p = subs.add_parser("lhs-opt", help="maximize the unsteerable work and compare to the ceiling")
-    _add_common(p)
+    _add_dims(p)
+    _add_energies(p)
+    _add_output(p)
     p.add_argument("--restarts", type=_int_in(1, MAX_RESTARTS), default=DEFAULT_RESTARTS)
     p.add_argument("--seed", type=_int_in(0, MAX_SEED), default=DEFAULT_SEED)
-    p.set_defaults(func=cmd_lhs_opt)
+    p.set_defaults(func=cmd_lhs_opt, parser=p)
 
     p = subs.add_parser("verify-mub", help="certify the overlap relations of a constructed family")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--n-bases", type=int, required=True)
-    p.add_argument("--tol", type=_finite_float(positive=False), default=ATOL)
+    _add_dims(p)
     _add_output(p)
-    p.set_defaults(func=cmd_verify_mub)
+    p.set_defaults(func=cmd_verify_mub, parser=p)
 
     return parser
 
@@ -186,7 +171,7 @@ def cmd_simulate(args) -> int:
     row = {k: v for k, v in payload.items() if k != "per_round"}
     shown = {k: "-" if v is None and k in ("seed", "stderr") else v for k, v in row.items()}
     text = _labelled(shown) + ["per_round (settings x outcomes):"]
-    text += ["  " + "  ".join(_fmt(w) for w in ws) for ws in payload["per_round"]]
+    text += ["  " + "  ".join(_cell(w) for w in ws) for ws in payload["per_round"]]
     _render(args, payload, [row], text)
     return EXIT_OK
 
@@ -205,12 +190,14 @@ def cmd_scan(args) -> int:
         row = {k: v for k, v in bs.to_json_dict().items() if k not in ("rastegin", "advantage")}
         rows.append({**row, "xi_over_sqrt_d": bs.xi / math.sqrt(d) if bs.xi is not None else None})
     table = [list(rows[0]), *(row.values() for row in rows)]
-    text = ["  ".join(f"{_fmt(v):>14}" for v in line) for line in table]
+    text = ["  ".join(f"{_cell(v):>14}" for v in line) for line in table]
     _render(args, rows, rows, text)
     return EXIT_OK
 
 
 def cmd_lhs_opt(args) -> int:
+    # refuse a bad (d, n, omega, beta) before the bases are built, as simulate does
+    evaluate_bounds(args.dim, args.n_bases, args.omega, args.beta)
     bases = build_mub(args.dim, args.n_bases)
     achievable, bound, result = lhs_sup_work(bases, args.omega, args.beta,
                                              restarts=args.restarts, seed=args.seed)
@@ -234,14 +221,14 @@ def cmd_lhs_opt(args) -> int:
 
 
 def cmd_verify_mub(args) -> int:
-    report = verify_mub(build_mub(args.dim, args.n_bases), tol=args.tol)
-    head = {"d": args.dim, "n": args.n_bases, "tol": args.tol,
+    report = verify_mub(build_mub(args.dim, args.n_bases))
+    head = {"d": args.dim, "n": args.n_bases, "tol": ATOL,
             "passed": report.passed, "max_deviation": report.max_deviation}
     pair = dict(zip("xayb", report.worst_pair))
     text = [
         f"{'PASS' if report.passed else 'FAIL'}: {args.n_bases} bases in dimension "
-        f"{args.dim} at tol {_fmt(args.tol)}",
-        f"max deviation = {_fmt(report.max_deviation)}",
+        f"{args.dim} at tol {_cell(ATOL)}",
+        f"max deviation = {_cell(report.max_deviation)}",
     ]
     if not report.passed:
         text.append("worst pair: basis {x} vector {a} vs basis {y} vector {b}".format(**pair))
@@ -252,7 +239,9 @@ def cmd_verify_mub(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

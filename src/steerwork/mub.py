@@ -27,6 +27,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -111,7 +112,7 @@ def supported_family(d: int, n: int) -> bool:
 
 @dataclass(frozen=True)
 class MubVerification:
-    """Result of checking the defining overlap relations at a tolerance.
+    """Result of checking the defining overlap relations to within ATOL.
 
     max_deviation is the worst |observed − expected| over all vector pairs,
     where expected is delta_{a,b} within a basis and 1/sqrt(d) across bases.
@@ -170,9 +171,13 @@ def check_supported(d: int, n: int) -> tuple[int, int]:
     d, n = _as_dims(d, n)
     check_family(d, n)
     if 16 * n * d * d > MAX_BASES_BYTES:
-        # the size in floats: an int quotient above the float range raises OverflowError
+        # the size in GiB overflows a float from about d = 8e157 at n = 2 and
+        # is then shown as a Decimal; below, as a float, whose .3g format
+        # drops trailing zeros ("1", not "1.00")
+        gib = Decimal(16 * n * d * d) / 2**30
+        gib = gib if gib > sys.float_info.max else float(gib)
         raise ValueError(
-            f"(d={d}, n={n}) needs {16.0 * n * d * d / 2**30:.3g} GiB of bases "
+            f"(d={d}, n={n}) needs {gib:.3g} GiB of bases "
             f"(16*n*d^2 bytes), above the cap of {MAX_BASES_BYTES / 2**30:g} GiB"
         )
     return d, n
@@ -293,11 +298,12 @@ def _block_row(bases: np.ndarray, columns: np.ndarray, x: int) -> tuple:
     return float(tile_max[k[a], a]), (x, a, x + col // d, col % d)
 
 
-def verify_mub(bases: np.ndarray, tol: float = ATOL) -> MubVerification:
+def verify_mub(bases: np.ndarray) -> MubVerification:
     """Check the defining overlap relations of the (n, d, d) bases array.
 
-    Report-style: never raises on a bad set, just flags it with the worst
-    deviation and the indices where it occurs; only an array that is not
+    A set passes when every deviation is at most ATOL. Report-style: never
+    raises on a bad set, just flags it with the worst deviation and the
+    indices where it occurs; only an array that is not
     (n, d, d) raises ValueError. Nothing else is validated, so corrupted
     sets can be checked too.
 
@@ -346,4 +352,4 @@ def verify_mub(bases: np.ndarray, tol: float = ATOL) -> MubVerification:
 
     # argmax takes the first NaN, else the first of equal maxima, as in _block_row
     max_dev, worst = rows[int(np.argmax([dev for dev, _ in rows]))]
-    return MubVerification(passed=max_dev <= tol, max_deviation=max_dev, worst_pair=worst)
+    return MubVerification(passed=max_dev <= ATOL, max_deviation=max_dev, worst_pair=worst)

@@ -190,19 +190,19 @@ def test_criterion_9_mub_certification():
             elif supported_family(d, d + 1):
                 configs.append((d, d + 1))
             for dd, n in configs:
-                report = verify_mub(build_mub(dd, n), tol=1e-10)
+                report = verify_mub(build_mub(dd, n))
                 assert report.passed, (dd, n, report.max_deviation)
 
         clean = build_mub(3, 4)
 
         duplicated = clean.copy()
         duplicated[2] = duplicated[1]
-        assert not verify_mub(duplicated, tol=1e-10).passed
+        assert not verify_mub(duplicated).passed
 
         denormalized = clean.copy()
         denormalized[1, 0] *= 0.9
-        assert not verify_mub(denormalized, tol=1e-10).passed
+        assert not verify_mub(denormalized).passed
 
         phased = clean.copy()
         phased[2, 1, 0] *= np.exp(1j * 1e-3)
-        assert not verify_mub(phased, tol=1e-10).passed
+        assert not verify_mub(phased).passed

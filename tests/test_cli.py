@@ -6,15 +6,17 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from referencing import Registry, Resource
 
 from steerwork.cli import build_parser, main
 from steerwork.mub import SUPPORTED_FAMILIES as FAMILIES
-from steerwork.mub import check_supported
+from steerwork.mub import ATOL, check_supported
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = ROOT / "docs" / "schemas"
@@ -79,11 +81,14 @@ class TestBounds:
         code, _, _ = run_cli(capsys, "bounds", "--dim", "2", "--n-bases", "3",
                              "--omega", "-1")
         assert code == 2
-        for omega in ["inf", "nan", "0"]:
-            code, out, _ = run_cli(capsys, "bounds", "--dim", "2", "--n-bases", "3",
-                                   "--omega", omega, "--format", "json")
+        # omega is a plain float to the parser; the library names what is wrong
+        for omega in ["inf", "nan", "0", "-0", "1e-400"]:
+            code, out, err = run_cli(capsys, "bounds", "--dim", "2", "--n-bases", "3",
+                                     "--omega", omega, "--format", "json")
             assert code == 2
             assert out == ""
+            assert err == ("error: energy gap must be finite and positive, "
+                           f"got omega={float(omega)}\n")
 
     @pytest.mark.parametrize("flag", ["--dim", "--n-bases"])
     def test_huge_integer_exits_two(self, capsys, flag):
@@ -100,6 +105,14 @@ class TestBounds:
     def test_huge_dim_is_named(self, capsys, command):
         code, out, err = run_cli(capsys, command, "--dim", "1" + "0" * 400, "--n-bases", "2")
         assert (code, out, err) == (2, "", "error: d must fit in a float, got a 1329-bit d\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "lhs-opt", "verify-mub"])
+    def test_size_past_the_floats_is_finite(self, capsys, command):
+        # 32 d^2 bytes at d = 10^200 is 2.98e+392 GiB, which no float holds
+        d = 10**200
+        code, out, err = run_cli(capsys, command, "--dim", str(d), "--n-bases", "2")
+        assert (code, out, err) == (2, "", f"error: (d={d}, n=2) needs 2.98e+392 GiB of bases "
+                                           "(16*n*d^2 bytes), above the cap of 1 GiB\n")
 
 
 class TestSimulate:
@@ -306,11 +319,30 @@ class TestLhsOpt:
         code, out, err = run_cli(capsys, "lhs-opt", "--dim", "2", "--n-bases", "3", flag, value)
         assert code == 2
         assert out == ""
-        # rejected by the parser, before any work; the budget flags are gone
+        # rejected before any work: the convergence flags are gone, omega
+        # is the library's to check, and the budgets are the parser's
         if flag in ("--tol", "--max-iter"):
-            assert err.splitlines()[-1].endswith(f"error: unrecognized arguments: {flag} {value}")
+            assert err.splitlines()[-1] == (
+                f"steerwork lhs-opt: error: unrecognized arguments: {flag} {value}")
+        elif flag == "--omega":
+            assert err == f"error: energy gap must be finite and positive, got omega={value}\n"
         else:
             assert f"argument {flag}: " in err
+
+    def test_bad_beta_refused_before_the_bases(self, capsys):
+        message = "error: inverse temperature must be >= 0, got beta=-1.0\n"
+        code, out, err = run_cli(capsys, "lhs-opt", "--dim", "4", "--n-bases", "3", "--beta", "-1")
+        assert (code, out, err) == (2, "", message)
+        # at d = 199 the 127 MB of bases are never built
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, "lhs-opt", "--dim", "199", "--n-bases", "200",
+                                   "--beta", "-1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (2, message)
+        assert peak < 2**20, f"peak allocation {peak / 2**20:.2f} MiB"
 
     def test_seed_rejected_by_parser(self, capsys):
         code, out, err = run_cli(capsys, "lhs-opt", "--dim", "3", "--n-bases", "4",
@@ -337,22 +369,37 @@ class TestVerifyMub:
         code, _, _ = run_cli(capsys, "verify-mub", "--dim", "4", "--n-bases", "2")
         assert code == 0
 
-    def test_rounding_fails_at_zero_tolerance(self, capsys):
-        # double-precision construction cannot meet an exact-zero tolerance
-        code, out, _ = run_cli(capsys, "verify-mub", "--dim", "3", "--n-bases", "4",
-                               "--tol", "0")
-        assert code == 5
-        assert out.startswith("FAIL")
-        assert "worst pair" in out
-
-    @pytest.mark.parametrize("tol, expected", [("1e-10", 0), ("0", 5)])
-    def test_json_schema(self, capsys, tol, expected):
+    def test_json_schema(self, capsys):
         code, out, _ = run_cli(capsys, "verify-mub", "--dim", "7", "--n-bases", "8",
-                               "--tol", tol, "--format", "json")
-        assert code == expected
+                               "--format", "json")
+        assert code == 0
         data = json.loads(out)
         validate(data, "verify_mub")
-        assert data["passed"] is (expected == 0)
+        assert data["passed"] is True
+        assert data["tol"] == ATOL
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_broken_construction_fails(self, capsys, monkeypatch, fmt):
+        # two copies of the identity basis: a cross overlap of 0 where
+        # 1/sqrt(2) is expected, first at (x, a, y, b) = (0, 0, 1, 1)
+        monkeypatch.setattr("steerwork.cli.build_mub",
+                            lambda d, n: np.stack([np.eye(d, dtype=complex)] * n))
+        code, out, _ = run_cli(capsys, "verify-mub", "--dim", "2", "--n-bases", "2",
+                               "--format", fmt)
+        assert code == 5
+        worst = 1 / math.sqrt(2)
+        if fmt == "text":
+            assert out == ("FAIL: 2 bases in dimension 2 at tol 1e-10\n"
+                           f"max deviation = {worst:.9g}\n"
+                           "worst pair: basis 0 vector 0 vs basis 1 vector 1\n")
+        elif fmt == "json":
+            data = json.loads(out)
+            validate(data, "verify_mub")
+            assert data == {"d": 2, "n": 2, "tol": ATOL, "passed": False, "max_deviation": worst,
+                            "worst_pair": {"x": 0, "a": 0, "y": 1, "b": 1}}
+        else:
+            assert out == ("d,n,tol,passed,max_deviation,x,a,y,b\n"
+                           f"2,2,1e-10,false,{worst!r},0,0,1,1\n")
 
     def test_unsupported(self, capsys):
         code, _, _ = run_cli(capsys, "verify-mub", "--dim", "6", "--n-bases", "4")
@@ -360,10 +407,13 @@ class TestVerifyMub:
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_invalid_flags(self, capsys, tol):
-        code, out, _ = run_cli(capsys, "verify-mub", "--dim", "3", "--n-bases", "4",
-                               "--tol", tol)
+        # a set passes within mub.ATOL; there is no --tol to set
+        code, out, err = run_cli(capsys, "verify-mub", "--dim", "3", "--n-bases", "4",
+                                 "--tol", tol)
         assert code == 2
         assert out == ""
+        assert err.splitlines()[-1] == (
+            f"steerwork verify-mub: error: unrecognized arguments: --tol {tol}")
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify-mub", "--dim", "5", "--n-bases", "6",

@@ -3,11 +3,10 @@
 tests/golden_cli.json holds one case per call: its argv, its exit code,
 and its stdout and stderr. Every case uses outputs that are the same on
 every IEEE platform: bounds and scan at beta = 0 or inf, where P is 1/d or
-1 exactly and the rest is sqrt, +, * and /, and the error paths. Two kinds
-of case keep one line only: "stdout_head" for verify-mub failures, whose
-deviation figures depend on rounding, and "stderr_tail" for argparse
-errors, whose usage lines differ between Python versions. A change that
-alters one of these outputs edits the file and says so in CHANGES.md.
+1 exactly and the rest is sqrt, +, * and /, and the error paths. Argparse
+errors keep their last stderr line only ("stderr_tail"), since usage lines
+differ between Python versions. A change that alters one of these outputs
+edits the file and says so in CHANGES.md.
 """
 
 import json
@@ -30,10 +29,7 @@ def test_transcript(capsys, case):
     code = main(case["argv"])
     out, err = capsys.readouterr()
     assert code == case["exit"]
-    if "stdout_head" in case:
-        assert out.splitlines()[0] == case["stdout_head"]
-    else:
-        assert out == case["stdout"]
+    assert out == case["stdout"]
     if "stderr_tail" in case:
         assert err.splitlines()[-1] == case["stderr_tail"]
     else:

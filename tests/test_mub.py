@@ -85,13 +85,13 @@ class TestBuildMub:
 
     @pytest.mark.parametrize("d", ODD_PRIMES)
     def test_odd_prime_maximal_family(self, d):
-        report = verify_mub(build_mub(d, d + 1), tol=1e-10)
+        report = verify_mub(build_mub(d, d + 1))
         assert report.passed, report
 
     @pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (4, 2), (6, 2), (9, 2), (3, 3), (5, 4)])
     def test_supported_families_verify(self, d, n):
         assert supported_family(d, n)
-        assert verify_mub(build_mub(d, n), tol=1e-10).passed
+        assert verify_mub(build_mub(d, n)).passed
 
     @pytest.mark.parametrize("d,n", [(4, 3), (6, 3), (9, 4), (8, 9), (2, 4), (3, 5), (2, 1),
                                      (1, 2), (5, 1)])
@@ -151,11 +151,14 @@ class TestBuildMub:
                                       "(16*n*d^2 bytes), above the cap of 1 GiB")
 
     def test_cap_message_near_the_float_limit(self):
-        # 16 n d^2 / 2^30 GiB is past the float range, although d itself is not
-        with pytest.raises(ValueError) as err:
-            check_supported(10**300, 2)
-        assert str(err.value) == (f"(d={10**300}, n=2) needs inf GiB of bases "
-                                  "(16*n*d^2 bytes), above the cap of 1 GiB")
+        # from about d = 8e157 on, 16 n d^2 / 2^30 GiB is past the float
+        # range, although d itself is not; the figure stays finite
+        for d, size in [(10**153, "2.98e+298"), (10**157, "2.98e+306"), (10**158, "2.98e+308"),
+                        (10**300, "2.98e+592")]:
+            with pytest.raises(ValueError) as err:
+                check_supported(d, 2)
+            assert str(err.value) == (f"(d={d}, n=2) needs {size} GiB of bases "
+                                      "(16*n*d^2 bytes), above the cap of 1 GiB")
 
     def test_error_names_supported_families(self):
         with pytest.raises(MubConstructionError, match="odd prime"):
@@ -164,7 +167,7 @@ class TestBuildMub:
 
 class TestVerifyMub:
     def test_passes_on_good_set(self):
-        report = verify_mub(build_mub(3, 4), tol=1e-10)
+        report = verify_mub(build_mub(3, 4))
         assert report.passed
         assert report.max_deviation < 1e-12
 
@@ -292,10 +295,21 @@ class TestVerifyMub:
             verify_mub(np.zeros(shape, dtype=complex))
         assert str(err.value) == f"bases must be a non-empty (n, d, d) array, got shape {shape}"
 
-    def test_tolerance_semantics(self):
-        # rounding noise sits around 1e-16, so an absurdly tight tolerance fails
-        assert verify_mub(build_mub(7, 8), tol=1e-10).passed
-        assert not verify_mub(build_mub(7, 8), tol=0.0).passed
+    def test_tolerance_semantics(self, monkeypatch):
+        # a set passes when its worst deviation is at most ATOL, the bound included
+        bases = build_mub(7, 8)
+        worst = verify_mub(bases).max_deviation
+        assert 0 < worst < 1e-14
+        monkeypatch.setattr(mub, "ATOL", worst)
+        assert verify_mub(bases).passed
+        monkeypatch.setattr(mub, "ATOL", math.nextafter(worst, 0.0))
+        assert not verify_mub(bases).passed
+        monkeypatch.undo()
+        # one vector scaled by 1 + eps deviates from its unit norm by about 2 eps
+        for eps, passed in [(mub.ATOL / 4, True), (mub.ATOL, False)]:
+            scaled = bases.copy()
+            scaled[3, 2] *= 1 + eps
+            assert verify_mub(scaled).passed is passed
 
 
 class TestConjugateBasis:

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steerwork.cli import main
-from steerwork.mub import supported_family
+from steerwork.mub import ATOL, supported_family
 
 SUPPORTED = [(d, n) for d in range(2, 12) for n in range(2, d + 2) if supported_family(d, n)]
 SCAN_DIMS = [d for d in range(2, 12) if supported_family(d, d + 1)]
@@ -106,14 +106,13 @@ def test_lhs_opt(pair, omega, beta, restarts, seed):
 
 
 @FEW
-@given(pairs, st.one_of(st.just(1e-10), st.floats(0.0, 1e-8)))
-def test_verify_mub(pair, tol):
+@given(pairs)
+def test_verify_mub(pair):
+    # every constructed family passes, within mub.ATOL, which the output echoes
     d, n = pair
-    code, report = run("verify-mub", "--dim", d, "--n-bases", n, "--tol", repr(tol))
-    assert report["passed"] == (report["max_deviation"] <= tol)
-    assert code == (0 if report["passed"] else 5)
-    if tol >= 1e-10:
-        assert report["passed"]
+    code, report = run("verify-mub", "--dim", d, "--n-bases", n)
+    assert code == 0
+    assert report["passed"] and report["max_deviation"] <= report["tol"] == ATOL
 
 
 def check_xi_subnormal(row, omega):
@@ -172,7 +171,7 @@ VALID_ARGV = {
     "scan": {"--dims": "2,3", "--omega": "1", "--beta": "1"},
     "lhs-opt": {"--dim": "3", "--n-bases": "4", "--omega": "1", "--beta": "1",
                 "--restarts": "2", "--seed": "0"},
-    "verify-mub": {"--dim": "3", "--n-bases": "4", "--tol": "1e-10"},
+    "verify-mub": {"--dim": "3", "--n-bases": "4"},
 }
 HOSTILE = ["nan", "inf", "-inf", "-1", "0", "-0", "1e309", "1e-400", "5e-324", "1e300", "2.5",
            "", "0x10", "1_000", "\u096f", "1" + "0" * 400]
