@@ -11,10 +11,10 @@ independent optimizer.
 
 from .bounds import BoundSet, evaluate_bounds
 from .game import WorkReport, run_exact_quantum
-from .lhs import OptimizerResult, lhs_sup_work, optimize_single_state, qubit_oracle
+from .lhs import OptimizerResult, optimize_single_state, qubit_oracle
 from .mub import MubConstructionError, build_mub
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "BoundSet",
@@ -23,7 +23,6 @@ __all__ = [
     "WorkReport",
     "build_mub",
     "evaluate_bounds",
-    "lhs_sup_work",
     "optimize_single_state",
     "qubit_oracle",
     "run_exact_quantum",

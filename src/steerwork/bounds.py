@@ -21,12 +21,11 @@ from .mub import _as_dims
 def ground_state_population(d: int, omega: float, beta: float) -> float:
     """Thermal weight on the ground level of a gap-omega, d-level spectrum.
 
-    Raises ValueError unless d >= 2, 0 < omega < inf and beta >= 0 (inf
-    allowed). Equals 1/d at beta = 0 and 1 at beta = inf; exp(-beta*omega)
-    never overflows for beta >= 0, omega > 0.
+    The one check of the energies: raises ValueError unless 0 < omega < inf
+    and beta >= 0 (inf allowed); d is checked by mub._as_dims. Equals 1/d at
+    beta = 0 and 1 at beta = inf; exp(-beta*omega) never overflows for
+    beta >= 0, omega > 0.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got d={d}")
     if not 0 < omega < math.inf:
         raise ValueError(f"energy gap must be finite and positive, got omega={omega}")
     if not (beta >= 0):
@@ -38,12 +37,8 @@ def rastegin_bound(d: int, n: int) -> float:
     """Maximum average overlap of a state with one vector from each of n MUBs.
 
     (1/d) * (1 + (d-1)/sqrt(n)); lies in (1/d, 1] and decays like 1/sqrt(d)
-    along n = d+1.
+    along n = d+1. For a (d, n) that mub._as_dims accepts.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got d={d}")
-    if n < 1:
-        raise ValueError(f"basis count must be >= 1, got n={n}")
     return (1.0 + (d - 1) / math.sqrt(n)) / d
 
 
@@ -85,7 +80,10 @@ class BoundSet:
 
 
 def evaluate_bounds(d: int, n: int, omega: float, beta: float) -> BoundSet:
-    """Validate one configuration and bundle its bounds from one r and one P, d, n as ints."""
+    """Validate one configuration and bundle its bounds from one r and one P, d, n as ints.
+
+    (d, n) are checked by mub._as_dims first, then omega and beta.
+    """
     d, n = _as_dims(d, n)
     r = rastegin_bound(d, n)
     pop = ground_state_population(d, omega, beta)

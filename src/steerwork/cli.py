@@ -8,9 +8,9 @@ mub.ATOL).
 The parser checks syntax and the CLI's own budgets (--shots, --restarts,
 --seed). The library checks (d, n, omega, beta), before any array is built.
 
-Exit codes: 0 ok, 2 bad flags or parameters, or not enough memory, 3
-advantage ratio undefined (bounds are still printed), 4 unsupported (d, n)
-construction, 5 verification failure.
+Exit codes: 0 ok, 2 bad flags, a parameter outside the game's domain, or
+not enough memory, 3 advantage ratio undefined (bounds are still printed),
+4 an in-domain (d, n) with no MUB construction, 5 verification failure.
 
 Formats: text renders 9 significant digits, json and csv carry full double
 precision. Zero temperature (beta = inf) is written as the string "inf" in
@@ -24,9 +24,9 @@ import json
 import math
 import sys
 
-from .bounds import evaluate_bounds, json_float
+from .bounds import evaluate_bounds, json_float, work_above_reset
 from .game import run_exact_quantum, run_monte_carlo
-from .lhs import DEFAULT_RESTARTS, DEFAULT_SEED, lhs_sup_work, qubit_oracle
+from .lhs import DEFAULT_RESTARTS, DEFAULT_SEED, optimize_single_state, qubit_oracle
 from .mub import ATOL, MubConstructionError, build_mub, check_family, verify_mub
 
 EXIT_OK = 0
@@ -197,16 +197,16 @@ def cmd_scan(args) -> int:
 
 def cmd_lhs_opt(args) -> int:
     # refuse a bad (d, n, omega, beta) before the bases are built, as simulate does
-    evaluate_bounds(args.dim, args.n_bases, args.omega, args.beta)
-    bases = build_mub(args.dim, args.n_bases)
-    achievable, bound, result = lhs_sup_work(bases, args.omega, args.beta,
-                                             restarts=args.restarts, seed=args.seed)
-    gap = bound - achievable
+    bs = evaluate_bounds(args.dim, args.n_bases, args.omega, args.beta)
+    bases = build_mub(bs.d, bs.n)
+    result = optimize_single_state(bases, args.restarts, args.seed)
+    achievable = work_above_reset(args.omega, result.objective, bs.population)
+    gap = bs.w_classical - achievable
     oracle = qubit_oracle(bases) if args.dim == 2 else None
     agreement = abs(oracle.objective - result.objective) if oracle else None
 
     head = {"d": args.dim, "n": args.n_bases, "omega": args.omega, "beta": json_float(args.beta)}
-    work = {"achievable_work": achievable, "w_classical": bound, "gap": gap}
+    work = {"achievable_work": achievable, "w_classical": bs.w_classical, "gap": gap}
     checks = {"oracle_objective": oracle.objective if oracle else None,
               "oracle_agreement": agreement}
     payload = {**head, "optimizer": result.to_json_dict(), **work,

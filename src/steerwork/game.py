@@ -23,6 +23,7 @@ the tests compare the production tables against them.
 
 Both modes take (d, n, omega, beta) as plain arguments and share one
 prologue, _protocol_table, which builds their BoundSet and prices the tables.
+n = 1 lies in the game's domain, but no MUB family has one basis to build.
 Reports carry their integers as Python ints, so they serialize to JSON.
 Exact mode sums over (a, x); Monte Carlo mode samples rounds operationally
 with a seeded counter-based generator, a fixed-size chunk of shots at a
@@ -135,13 +136,11 @@ def _protocol_table(d: int, n: int, omega: float,
                     beta: float) -> tuple[np.ndarray, np.ndarray, bounds_mod.BoundSet]:
     """The run prologue of both modes: validate, run the protocol, price it.
 
-    Raises ValueError unless evaluate_bounds accepts (d, n, omega, beta)
-    and n >= 2. Returns p[x, a], the work table F - P in units of omega,
-    and the bound set, whose population is the Gibbs population P.
+    Raises ValueError unless evaluate_bounds accepts (d, n, omega, beta) and
+    build_mub can construct (d, n), as no n = 1 can. Returns p[x, a], the work
+    table F - P in units of omega, and the bound set, whose population is P.
     """
     bs = bounds_mod.evaluate_bounds(d, n, omega, beta)
-    if bs.n < 2:
-        raise ValueError(f"need at least two settings, got n={bs.n}")
     p, fid = _quantum_protocol(bs.d, bs.n)
     return p, fid - bs.population, bs
 

@@ -10,12 +10,13 @@ Because the work functional is linear in the model, the supremum over LHS
 models is attained on extreme points: a single pure hidden state psi with
 the deterministic response a(x) = argmax_a |<phi_x^a|psi>|^2. That model
 extracts omega * objective(psi) - omega * P exactly, with P the ground-level
-Gibbs population (bounds.work_above_reset, the shape of w_classical), so
-no assemblage is built here. Finding the best pure state is the nonconvex
-problem max_psi (1/n) sum_x max_a |<phi_x^a|psi>|^2, handled by
-alternating maximization with random restarts: one overlap table per
-iterate gives both the objective and the next picks, and a restart stops
-at its fixed point. The optimum is the largest lambda_max of
+Gibbs population, so no assemblage is built here; lhs-opt prices the
+objective with bounds.work_above_reset, the shape of w_classical. Finding
+the best pure state is the nonconvex problem
+max_psi (1/n) sum_x max_a |<phi_x^a|psi>|^2, handled by alternating
+maximization with random restarts: one overlap table per iterate gives
+both the objective and the next picks, and a restart stops at its fixed
+point. The optimum is the largest lambda_max of
 (1/n) sum_x |phi_x^{a(x)}><phi_x^{a(x)}| over the d^n pick functions a(x);
 qubit_oracle enumerates the 2^n of them at d = 2. General hidden-state
 models, the game pipeline on them and a Bloch-sphere grid search live in
@@ -30,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds as bounds_mod
-from .mub import ATOL, _as_int
+from .mub import ATOL, _as_int, _bases_shape
 
 # Defaults of optimize_single_state, which the lhs-opt flags share.
 DEFAULT_RESTARTS, DEFAULT_SEED = 32, 0
@@ -115,14 +115,14 @@ def optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_RESTARTS,
     point: when a computed step fails to raise the objective, or when its
     picks repeat the previous step's, which would rebuild the same state,
     so that step counts as one and computes nothing. After MAX_STEPS steps
-    it stops unconverged. bases is the (n, d, d) array of mub.build_mub.
-    restarts and seed must be integral (numpy integers are), or ValueError
-    names the one that is not.
+    it stops unconverged. bases is the (n, d, d) array of mub.build_mub,
+    or ValueError from mub._bases_shape. restarts and seed must be integral
+    (numpy integers are), or ValueError names the one that is not.
     """
+    n, d = _bases_shape(bases)
     restarts, seed = _as_int("restarts", restarts), _as_int("seed", seed)
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
-    n, d = bases.shape[:2]
     best_obj, best_state, best_converged, total_iters = -math.inf, None, False, 0
     root = np.random.SeedSequence(seed)
 
@@ -165,8 +165,9 @@ def qubit_oracle(bases: np.ndarray) -> OptimizerResult:
     Only valid at d = 2, where build_mub makes at most n = 3 bases, so 8
     candidates. The first pick function (itertools.product order) with the
     highest objective wins; iterations counts the candidates checked.
+    bases are checked by mub._bases_shape.
     """
-    n, d = bases.shape[:2]
+    n, d = _bases_shape(bases)
     if d != 2:
         raise ValueError(f"the qubit oracle requires d = 2, got d={d}")
     best_obj, best_state = -math.inf, None
@@ -178,21 +179,3 @@ def qubit_oracle(bases: np.ndarray) -> OptimizerResult:
     return OptimizerResult(best_state=best_state, objective=best_obj, restarts_used=1,
                            iterations=2**n, converged=True)
 
-
-def lhs_sup_work(bases: np.ndarray, omega: float, beta: float,
-                 restarts: int = DEFAULT_RESTARTS,
-                 seed: int = DEFAULT_SEED) -> tuple[float, float, OptimizerResult]:
-    """Best LHS work found numerically on bases, next to the closed-form ceiling.
-
-    Returns (achievable, bound, result) with result the output of
-    optimize_single_state(bases, restarts, seed). The achievable side is the
-    work of the deterministic single-state model on the optimizer's best state,
-    omega * objective - omega * P; bound is w_classical, the same expression
-    with the Rastegin overlap bound in place of the objective. P and bound
-    come from one evaluate_bounds(...) at the (d, n) of the bases.
-    """
-    n, d = bases.shape[:2]
-    bs = bounds_mod.evaluate_bounds(d, n, omega, beta)
-    result = optimize_single_state(bases, restarts, seed)
-    achievable = bounds_mod.work_above_reset(omega, result.objective, bs.population)
-    return achievable, bs.w_classical, result

@@ -52,8 +52,8 @@ OPENBLAS_THREAD_GETTERS = (
 )
 # Largest bases array build_mub allocates, 16*n*d^2 bytes. It is the largest
 # allocation of verify-mub and lhs-opt, so the cap refuses an oversized run
-# before any work starts. Since n >= 2, it also caps d at 5792; odd primes
-# up to d = 401 fit with all d + 1 bases.
+# before any work starts. Every family has n >= 2, so it also caps d at
+# 5792; odd primes up to d = 401 fit with all d + 1 bases.
 MAX_BASES_BYTES = 2**30
 
 # The primes up to 41 as Miller-Rabin witnesses decide every d below
@@ -100,11 +100,9 @@ def is_prime(d: int) -> bool:
 
 
 def supported_family(d: int, n: int) -> bool:
-    """Whether build_mub can construct n bases in dimension d."""
-    if d < 2 or n < 2:
-        return False
-    if n == 2:
-        return True
+    """Whether build_mub can construct n bases in dimension d, for a (d, n) _as_dims accepts."""
+    if n <= 2:
+        return n == 2
     if d == 2:
         return n <= 3
     return is_prime(d) and n <= d + 1
@@ -136,14 +134,6 @@ def _pauli_bases() -> np.ndarray:
     )
 
 
-def check_family(d: int, n: int) -> None:
-    """Raise MubConstructionError unless (d, n) lies in a supported family."""
-    if not supported_family(d, n):
-        raise MubConstructionError(
-            f"(d={d}, n={n}) not available; supported families: {SUPPORTED_FAMILIES}"
-        )
-
-
 def _as_int(name: str, value) -> int:
     """value as a Python int; ValueError naming the parameter if it is not integral."""
     try:
@@ -153,23 +143,41 @@ def _as_int(name: str, value) -> int:
 
 
 def _as_dims(d, n) -> tuple[int, int]:
-    """(d, n) as Python ints; ValueError naming one that is not integral or exceeds the floats."""
+    """(d, n) as Python ints, the one check of them as numbers.
+
+    ValueError names the first that is not integral, exceeds the floats or
+    lies outside the game's domain d >= 2, n >= 1.
+    """
     dims = _as_int("d", d), _as_int("n", n)
     for name, value in zip("dn", dims):
         if abs(value) > sys.float_info.max:
             raise ValueError(f"{name} must fit in a float, got a {value.bit_length()}-bit {name}")
+    d, n = dims
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got d={d}")
+    if n < 1:
+        raise ValueError(f"basis count must be >= 1, got n={n}")
     return dims
+
+
+def check_family(d: int, n: int) -> tuple[int, int]:
+    """(d, n) as ints if _as_dims accepts them; MubConstructionError outside the families."""
+    d, n = _as_dims(d, n)
+    if not supported_family(d, n):
+        raise MubConstructionError(
+            f"(d={d}, n={n}) not available; supported families: {SUPPORTED_FAMILIES}"
+        )
+    return d, n
 
 
 def check_supported(d: int, n: int) -> tuple[int, int]:
     """(d, n) as Python ints, if build_mub can construct them within MAX_BASES_BYTES.
 
     A (d, n) that _as_dims refuses, or bases above the cap, raise
-    ValueError; a (d, n) outside the supported families raises
+    ValueError; an in-domain (d, n) outside the supported families raises
     MubConstructionError.
     """
-    d, n = _as_dims(d, n)
-    check_family(d, n)
+    d, n = check_family(d, n)
     if 16 * n * d * d > MAX_BASES_BYTES:
         # the size in GiB overflows a float from about d = 8e157 at n = 2 and
         # is then shown as a Decimal; below, as a float, whose .3g format
@@ -262,6 +270,17 @@ def _scan_workers(n: int) -> int:
     return min(MAX_SCAN_WORKERS, _usable_cpus(), n)
 
 
+def _bases_shape(bases) -> tuple[int, int]:
+    """(n, d) of bases; ValueError unless it is a non-empty (n, d, d) float or complex array."""
+    shape, dtype = np.shape(bases), getattr(bases, "dtype", None)
+    if len(shape) != 3 or shape[1] != shape[2] or 0 in shape:
+        raise ValueError(f"bases must be a non-empty (n, d, d) array, got shape {shape}")
+    if dtype is None or not np.issubdtype(dtype, np.inexact):
+        got = type(bases).__name__ if dtype is None else dtype
+        raise ValueError(f"bases must be a float or complex array, got {got}")
+    return shape[:2]
+
+
 def _block_row(bases: np.ndarray, columns: np.ndarray, x: int) -> tuple:
     """Largest deviation of Gram block row x and its first pair (x, a, y, b)."""
     n, d = bases.shape[:2]
@@ -303,9 +322,9 @@ def verify_mub(bases: np.ndarray) -> MubVerification:
 
     A set passes when every deviation is at most ATOL. Report-style: never
     raises on a bad set, just flags it with the worst deviation and the
-    indices where it occurs; only an array that is not
-    (n, d, d) raises ValueError. Nothing else is validated, so corrupted
-    sets can be checked too.
+    indices where it occurs; only what _bases_shape refuses, anything but a
+    non-empty (n, d, d) float or complex array, raises ValueError. Nothing
+    else is validated, so corrupted sets can be checked too.
 
     Basis x is compared with bases y >= x only, since |<u|v>| = |<v|u>|,
     and each block row of the Gram matrix is built GRAM_TILE bases at a
@@ -321,9 +340,7 @@ def verify_mub(bases: np.ndarray) -> MubVerification:
     full-matrix scan. A NaN anywhere makes max_deviation NaN and the set
     fail.
     """
-    if bases.ndim != 3 or bases.shape[1] != bases.shape[2] or bases.size == 0:
-        raise ValueError(f"bases must be a non-empty (n, d, d) array, got shape {bases.shape}")
-    n, d = bases.shape[:2]
+    n, d = _bases_shape(bases)
     columns = bases.reshape(n * d, d).T
     # per block row x: its largest deviation and first pair
     rows = [None] * n

@@ -5,9 +5,8 @@ import pytest
 
 from steerwork import bounds
 from steerwork.bounds import evaluate_bounds, ground_state_population, rastegin_bound
+from steerwork.cli import main
 from steerwork.game import run_exact_quantum, run_monte_carlo
-from steerwork.lhs import lhs_sup_work
-from steerwork.mub import build_mub
 
 # Frozen from a 50-digit mpmath evaluation of the closed forms (see
 # tests/test_acceptance.py for the oracle used at acceptance time).
@@ -162,14 +161,17 @@ class TestBoundSet:
     @pytest.mark.parametrize("run", [
         lambda: run_exact_quantum(3, 4),
         lambda: run_monte_carlo(3, 4, shots=10),
-        lambda: lhs_sup_work(build_mub(3, 4), 1.0, 1.0, restarts=2),
-    ], ids=["exact", "monte_carlo", "lhs_sup_work"])
+        lambda: main(["lhs-opt", "--dim", "3", "--n-bases", "4", "--restarts", "2"]),
+    ], ids=["exact", "monte_carlo", "lhs_opt"])
     def test_one_bound_set_per_run(self, monkeypatch, run):
-        # a run validates its parameters and computes P in evaluate_bounds alone
+        # a run validates its parameters and computes P in evaluate_bounds alone,
+        # once, wherever it is called from (the CLI imports it by name)
         calls = []
         for name in ("evaluate_bounds", "ground_state_population"):
             counted = lambda *a, f=getattr(bounds, name), k=name: calls.append(k) or f(*a)
             monkeypatch.setattr(bounds, name, counted)
+            if name == "evaluate_bounds":
+                monkeypatch.setattr("steerwork.cli.evaluate_bounds", counted)
         run()
         assert sorted(calls) == ["evaluate_bounds", "ground_state_population"]
 

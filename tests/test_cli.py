@@ -530,13 +530,37 @@ def test_memory_error_is_a_one_line_exit(capsys, monkeypatch, raised, detail):
 
 
 @pytest.mark.parametrize("command, code, message", [
-    ("simulate", 2, "need at least two settings, got n=1"),
+    ("simulate", 4, f"(d=2, n=1) not available; supported families: {FAMILIES}"),
     ("lhs-opt", 4, f"(d=2, n=1) not available; supported families: {FAMILIES}"),
+    ("verify-mub", 4, f"(d=2, n=1) not available; supported families: {FAMILIES}"),
 ])
 def test_single_basis_game_rejected(capsys, command, code, message):
-    # bounds accepts n = 1; a game needs two settings, and no MUB family has one
+    # n = 1 is in the game's domain, so bounds prices it (TestBounds), and
+    # every command that builds bases exits 4: no MUB family has one basis
     got, out, err = run_cli(capsys, command, "--dim", "2", "--n-bases", "1")
     assert (got, out, err) == (code, "", f"error: {message}\n")
+
+
+OUT_OF_DOMAIN = [
+    ("1", "2", "dimension must be >= 2, got d=1"),
+    ("-3", "0", "dimension must be >= 2, got d=-3"),
+    ("3", "0", "basis count must be >= 1, got n=0"),
+    ("3", "-4", "basis count must be >= 1, got n=-4"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([command, "--dim", d, "--n-bases", n], message)
+    for command in ("bounds", "simulate", "lhs-opt", "verify-mub")
+    for d, n, message in OUT_OF_DOMAIN
+] + [
+    # scan sweeps n = d + 1, so it meets the d rule alone
+    (["scan", "--dims", "1"], "dimension must be >= 2, got d=1"),
+    (["scan", "--dims", "5,-3"], "dimension must be >= 2, got d=-3"),
+])
+def test_one_domain_rule(capsys, argv, message):
+    # exit 2 for a (d, n) outside the game's domain, with one message on every subcommand
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")

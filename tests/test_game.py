@@ -34,6 +34,7 @@ from oracles import (
 )
 from steerwork.game import run_exact_quantum, run_monte_carlo
 from steerwork.lhs import optimize_single_state, random_pure_state
+from steerwork.mub import SUPPORTED_FAMILIES, MubConstructionError
 from steerwork.mub import build_mub
 
 # 1 - e/(e+1) frozen from the 50-digit closed-form evaluation
@@ -612,7 +613,7 @@ class TestGameConfig:
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(d=1, n=3), "dimension must be >= 2, got d=1"),
-        (dict(d=2, n=1), "need at least two settings, got n=1"),
+        (dict(d=2, n=0), "basis count must be >= 1, got n=0"),
         (dict(d=2, n=3, omega=0.0), "energy gap must be finite and positive, got omega=0.0"),
         (dict(d=2, n=3, omega=-1.0), "energy gap must be finite and positive, got omega=-1.0"),
         (dict(d=2, n=3, beta=-0.1), "inverse temperature must be >= 0, got beta=-0.1"),
@@ -627,6 +628,17 @@ class TestGameConfig:
             else:
                 run_exact_quantum(**kwargs)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("shots", [0, 10])
+    def test_single_basis_has_no_construction(self, shots):
+        # n = 1 is in the game's domain, but no MUB family has one basis
+        with pytest.raises(MubConstructionError) as err:
+            if shots:
+                run_monte_carlo(2, 1, shots=shots)
+            else:
+                run_exact_quantum(2, 1)
+        assert str(err.value) == (
+            f"(d=2, n=1) not available; supported families: {SUPPORTED_FAMILIES}")
 
     def test_negative_shots_message(self):
         with pytest.raises(ValueError) as err:

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 import oracles
-from steerwork.bounds import evaluate_bounds, ground_state_population, rastegin_bound
+from steerwork.bounds import (
+    evaluate_bounds,
+    ground_state_population,
+    rastegin_bound,
+    work_above_reset,
+)
 from oracles import (
     LhsModel,
     assemblage_from_model,
@@ -25,7 +30,8 @@ from oracles import (
 )
 from steerwork import lhs
 from steerwork.lhs import (
-    lhs_sup_work,
+    DEFAULT_RESTARTS,
+    DEFAULT_SEED,
     optimize_single_state,
     qubit_oracle,
     random_pure_state,
@@ -133,6 +139,17 @@ class TestLhsWork:
             assert lhs_work(model, bases, 1.0, 1.0) <= wc + 1e-8
 
 
+# arrays that are not a non-empty (n, d, d) float or complex stack; a 2-D
+# array failed with numpy's AxisError deep in the first overlap table
+BAD_BASES = [
+    (np.eye(2), "bases must be a non-empty (n, d, d) array, got shape (2, 2)"),
+    (np.zeros((0, 2, 2)), "bases must be a non-empty (n, d, d) array, got shape (0, 2, 2)"),
+    (np.zeros((3, 2, 3)), "bases must be a non-empty (n, d, d) array, got shape (3, 2, 3)"),
+    (np.eye(2, dtype=int)[None], f"bases must be a float or complex array, got {np.dtype(int)}"),
+    (np.ones((2, 2, 2), dtype=bool), "bases must be a float or complex array, got bool"),
+]
+
+
 class TestOptimizeSingleState:
     def test_qubit_three_bases(self):
         result = optimize_single_state(build_mub(2, 3), restarts=32, seed=0)
@@ -170,6 +187,12 @@ class TestOptimizeSingleState:
     def test_invalid_budget_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             optimize_single_state(build_mub(2, 3), **kwargs)
+
+    @pytest.mark.parametrize("bases, message", BAD_BASES)
+    def test_rejects_what_verify_mub_rejects(self, bases, message):
+        with pytest.raises(ValueError) as err:
+            optimize_single_state(bases, restarts=1)
+        assert str(err.value) == message
 
     def test_nan_amplitude_rejected(self):
         # NaN fails every comparison, so the check must read it as a failure
@@ -330,21 +353,37 @@ class TestQubitOracle:
         with pytest.raises(ValueError, match="d = 2"):
             qubit_oracle(build_mub(3, 2))
 
+    @pytest.mark.parametrize("bases, message", BAD_BASES)
+    def test_rejects_what_verify_mub_rejects(self, bases, message):
+        with pytest.raises(ValueError) as err:
+            qubit_oracle(bases)
+        assert str(err.value) == message
+
     def test_rejects_nan_bases(self):
         # every candidate would score NaN, and none would become the best
         with pytest.raises(ValueError, match="^matrix has a NaN or infinite entry$"):
             qubit_oracle(np.full((3, 2, 2), np.nan, dtype=complex))
 
 
+def priced_lhs_work(bases, omega, beta, restarts=DEFAULT_RESTARTS, seed=DEFAULT_SEED):
+    """(achievable, w_classical, result) as lhs-opt prices them, from three library calls."""
+    n, d = bases.shape[:2]
+    bs = evaluate_bounds(d, n, omega, beta)
+    result = optimize_single_state(bases, restarts, seed)
+    return work_above_reset(omega, result.objective, bs.population), bs.w_classical, result
+
+
 class TestLhsSupWork:
+    """The best single-state work against w_classical, priced as lhs-opt does."""
+
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2.0])
     def test_qubit_tightness(self, beta):
-        achievable, bound, _ = lhs_sup_work(build_mub(2, 3), 1.0, beta, restarts=16, seed=0)
+        achievable, bound, _ = priced_lhs_work(build_mub(2, 3), 1.0, beta, restarts=16, seed=0)
         assert abs(achievable - bound) < 1e-6
         assert abs(bound - evaluate_bounds(2, 3, 1.0, beta).w_classical) < 1e-15
 
     def test_qutrit_gap_recorded(self):
-        achievable, bound, _ = lhs_sup_work(build_mub(3, 4), 1.0, 1.0, restarts=32, seed=0)
+        achievable, bound, _ = priced_lhs_work(build_mub(3, 4), 1.0, 1.0, restarts=32, seed=0)
         assert achievable <= bound + 1e-8
         # the gap is a finding, not a failure: omega * (2/3 - cos^2(pi/5))
         assert bound - achievable == pytest.approx(2 / 3 - QUTRIT_ATTAINED_N4, abs=1e-6)
@@ -352,12 +391,12 @@ class TestLhsSupWork:
     def test_infinite_temperature_identity(self):
         bases = build_mub(2, 3)
         result = optimize_single_state(bases, restarts=16, seed=4)
-        achievable, _, _ = lhs_sup_work(build_mub(2, 3), 1.0, 0.0, restarts=16, seed=4)
+        achievable, _, _ = priced_lhs_work(build_mub(2, 3), 1.0, 0.0, restarts=16, seed=4)
         assert abs(achievable - (result.objective - 0.5)) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
     def test_closed_form_matches_pipeline_oracle(self, d):
-        # lhs_sup_work prices the deterministic single-state model as
+        # lhs-opt prices the deterministic single-state model as
         # omega * objective - omega * P; the full game pipeline on that
         # model is the reference, for random states and the optimizer's best
         n = d + 1
@@ -366,7 +405,7 @@ class TestLhsSupWork:
         states = [random_pure_state(d, rng) for _ in range(3)]
         for omega in (1e-3, 1.0, 1e300):
             for beta in (0.0, 0.37, 1.0, math.inf):
-                achievable, _, result = lhs_sup_work(bases, omega, beta, restarts=4, seed=d)
+                achievable, _, result = priced_lhs_work(bases, omega, beta, restarts=4, seed=d)
                 pop = ground_state_population(d, omega, beta)
                 cases = [(result.best_state, achievable)]
                 cases += [(psi, omega * mub_overlap_objective(bases, psi) - omega * pop)
@@ -378,7 +417,7 @@ class TestLhsSupWork:
 
     def test_bound_follows_the_mub_set(self):
         # the ceiling's (d, n) come from the bases the optimizer searches
-        achievable, bound, result = lhs_sup_work(build_mub(5, 6), 1.0, 1.0, restarts=2)
+        achievable, bound, result = priced_lhs_work(build_mub(5, 6), 1.0, 1.0, restarts=2)
         assert bound == evaluate_bounds(5, 6, 1.0, 1.0).w_classical
         assert result.best_state.shape == (5,)
         assert achievable <= bound + 1e-10
@@ -389,7 +428,7 @@ class TestLhsSupWork:
         bases = build_mub(31, 32)
         tracemalloc.start()
         try:
-            lhs_sup_work(bases, 1.0, 1.0)
+            priced_lhs_work(bases, 1.0, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

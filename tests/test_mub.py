@@ -18,6 +18,7 @@ from steerwork.mub import (
     MubConstructionError,
     SUPPORTED_FAMILIES,
     build_mub,
+    check_family,
     check_supported,
     MR_EXACT_BELOW,
     is_prime,
@@ -94,14 +95,29 @@ class TestBuildMub:
         assert verify_mub(build_mub(d, n)).passed
 
     @pytest.mark.parametrize("d,n", [(4, 3), (6, 3), (9, 4), (8, 9), (2, 4), (3, 5), (2, 1),
-                                     (1, 2), (5, 1)])
+                                     (5, 1)])
     def test_unsupported_raises(self, d, n):
-        # one message for every unsupported pair, d < 2 and n < 2 included
+        # one message for every in-domain pair without a construction, n = 1 included
         assert not supported_family(d, n)
         with pytest.raises(MubConstructionError) as err:
             build_mub(d, n)
         assert str(err.value) == (
             f"(d={d}, n={n}) not available; supported families: {SUPPORTED_FAMILIES}")
+
+    @pytest.mark.parametrize("d, n, message", [
+        (1, 2, "dimension must be >= 2, got d=1"),
+        (0, 0, "dimension must be >= 2, got d=0"),
+        (-5, 3, "dimension must be >= 2, got d=-5"),
+        (3, 0, "basis count must be >= 1, got n=0"),
+        (np.int64(2), np.int8(-1), "basis count must be >= 1, got n=-1"),
+    ])
+    def test_out_of_domain_is_a_value_error(self, d, n, message):
+        # outside the game's domain d >= 2, n >= 1: a bad parameter, not a missing family
+        for check in (build_mub, check_family, check_supported):
+            with pytest.raises(ValueError) as err:
+                check(d, n)
+            assert not isinstance(err.value, MubConstructionError)
+            assert str(err.value) == message
 
     def test_memory_bases_only(self):
         # the bases are written in place; stacking per-basis copies took 2x
@@ -294,6 +310,23 @@ class TestVerifyMub:
         with pytest.raises(ValueError) as err:
             verify_mub(np.zeros(shape, dtype=complex))
         assert str(err.value) == f"bases must be a non-empty (n, d, d) array, got shape {shape}"
+
+    @pytest.mark.parametrize("bases, dtype", [
+        (np.eye(3, dtype=int)[None], np.dtype(int).name),
+        (np.ones((2, 2, 2), dtype=bool), "bool"),
+        (np.eye(2, dtype=object)[None], "object"),
+        (np.eye(2)[None].tolist(), "list"),
+    ])
+    def test_rejects_non_numeric_dtype(self, bases, dtype):
+        # an integer or bool array crashed inside the tiled scan with numpy's UFuncTypeError
+        with pytest.raises(ValueError) as err:
+            verify_mub(bases)
+        assert str(err.value) == f"bases must be a float or complex array, got {dtype}"
+
+    def test_real_bases_are_checked(self):
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        assert verify_mub(np.stack([np.eye(2), hadamard])).passed
+        assert not verify_mub(np.stack([np.eye(4), np.eye(4)[::-1]])).passed
 
     def test_tolerance_semantics(self, monkeypatch):
         # a set passes when its worst deviation is at most ATOL, the bound included
