@@ -14,7 +14,8 @@ omega, and never builds a Hamiltonian or a Gibbs state.
 
 There is one protocol: the maximally entangled state measured in the
 conjugated bases, which steers Bob to sigma_{a|x} = |phi_x^a><phi_x^a|/d.
-_quantum_protocol computes its tables p[x, a] and F[x, a], and
+_quantum_protocol computes its tables p[x, a] and F[x, a] one setting at a
+time, so its memory is the dense rho plus one setting's effects and sigma, and
 _check_protocol asserts the identities they obey on exactly the tables
 that are then priced, each at the one tolerance mub.ATOL (in units of
 omega for the work). The general path for any state and POVM stack, and
@@ -117,18 +118,24 @@ def _quantum_protocol(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     states with |phi_x^a>, after _check_protocol has passed them. Alice's
     effect for (x, a) is the projector onto conj(phi_x^a); the general
     path for any state and POVM stack is the test oracle in tests/oracles.py.
+    The settings are measured one at a time, so memory is the dense rho
+    (d^4 entries) plus one setting's effects and sigma (d^3 entries each).
     """
     bases = build_mub(d, n)
     psi = np.zeros(d * d, dtype=complex)
     psi[:: d + 1] = 1.0 / math.sqrt(d)
     rho = np.outer(psi, psi.conj()).reshape(d, d, d, d)
-    effects = bases.conj()[..., :, None] * bases[..., None, :]
-    # Tr_A[(M (x) I) rho] index by index: sum_{i,j} M_ij rho[(j,k),(i,l)]
-    sigma = np.einsum("xaij,jkil->xakl", effects, rho)
-    del effects, rho  # so that the fidelity contraction adds nothing to the peak
-    p = np.einsum("xaii->xa", sigma).real
-    fid = np.einsum("xaj,xajk,xak->xa", bases.conj(), sigma, bases) / p
-    _check_protocol(bases, p, fid, sigma.sum(axis=1))
+    p = np.empty((n, d))
+    fid = np.empty((n, d), dtype=complex)
+    reduced = np.empty((n, d, d), dtype=complex)
+    for x, basis in enumerate(bases):
+        effects = basis.conj()[:, :, None] * basis[:, None, :]
+        # Tr_A[(M (x) I) rho] index by index: sum_{i,j} M_ij rho[(j,k),(i,l)]
+        sigma = np.einsum("aij,jkil->akl", effects, rho)
+        p[x] = np.einsum("aii->a", sigma).real
+        fid[x] = np.einsum("aj,ajk,ak->a", basis.conj(), sigma, basis) / p[x]
+        reduced[x] = sigma.sum(axis=0)
+    _check_protocol(bases, p, fid, reduced)
     return p, fid.real
 
 

@@ -402,16 +402,26 @@ class TestRunExactQuantum:
                 run(d, n)
             assert str(err.value) == message
 
-    def test_memory_no_full_size_temporary(self):
-        # rho_AB and the stacked effects take about 4.5 MB each at d = 23;
-        # one more temporary of that size would cross the limit
+    @staticmethod
+    def traced_peak(d, n):
         tracemalloc.start()
         try:
-            run_exact_quantum(d=23, n=24)
-            peak = tracemalloc.get_traced_memory()[1]
+            run_exact_quantum(d, n)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20, f"peak allocation {peak / 2**20:.1f} MB"
+
+    def test_memory_no_full_size_temporary(self):
+        # rho_AB takes 4.3 MiB at d = 23 and one setting's effects and sigma
+        # 0.2 MiB each; one more temporary the size of rho would cross the limit
+        peak = self.traced_peak(23, 24)
+        assert peak < 7 * 2**20, f"peak allocation {peak / 2**20:.2f} MiB"
+
+    def test_memory_does_not_grow_with_settings(self):
+        # settings are measured one at a time, so 22 more of them add no
+        # stack of effects or sigma to the peak (8.4 MiB if they were stacked)
+        growth = self.traced_peak(23, 24) - self.traced_peak(23, 2)
+        assert growth < 2**20, f"24 settings peak {growth / 2**20:.2f} MiB above 2"
 
     def test_report_embeds_bounds(self):
         report = run_exact_quantum(d=2, n=3)
