@@ -38,8 +38,9 @@ EXIT_VERIFY_FAIL = 5
 # Monte Carlo time is linear in --shots and nothing is printed until the end;
 # 10^9 shots already take tens of seconds, so a larger count is refused.
 MAX_SHOTS = 10**9
-# The lhs-opt budget likewise: at d = 61 (2 vCPU, 2026-10-20), 10^4 restarts
-# take about 60 s, each stopping at its fixed point after about 5 steps.
+# The lhs-opt budget likewise: at d = 61 (2 vCPU, OpenBLAS on one thread,
+# 2026-10-20), 10^4 restarts take about 43 s, each stopping at its fixed
+# point after about 5 steps.
 MAX_RESTARTS = 10**4
 # Monte Carlo keys a Philox generator with the seed, and Philox keys are
 # 128-bit; lhs-opt shares the range so that one seed works for both.

@@ -215,14 +215,33 @@ class TestOptimizeSingleState:
             tracemalloc.stop()
         assert peak < 64 * 2**10, f"peak allocation {peak / 2**10:.1f} KiB"
 
+    def test_memory_stays_one_block_at_the_workload_size(self, monkeypatch):
+        # at lhs-d31's size one block's stacks peak near 400 KiB, against
+        # about 90 KiB for one restart at a time; stacks that grew with the
+        # restart count would pass the bound within the first 16 restarts
+        monkeypatch.setattr(lhs, "MAX_STEPS", 1)
+        bases = build_mub(31, 32)
+        optimize_single_state(bases, restarts=2)
+        tracemalloc.start()
+        try:
+            optimize_single_state(bases, restarts=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 640 * 2**10, f"peak allocation {peak / 2**10:.1f} KiB"
+
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """One-item list counting the np.linalg.eigh calls made during the test."""
+    """One-item list counting the matrices np.linalg.eigh diagonalized during the test.
+
+    A (k, d, d) stack counts k, so the count does not depend on how the
+    optimizer groups its restarts.
+    """
     calls, eigh = [0], np.linalg.eigh
 
     def counted(m):
-        calls[0] += 1
+        calls[0] += math.prod(m.shape[:-2])
         return eigh(m)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
@@ -242,16 +261,49 @@ class TestFixedPointStop:
     @pytest.mark.parametrize("cap", [lhs.MAX_STEPS, 1, 2, 40],
                              ids=["default", "iter1", "iter2", "iter40"])
     def test_matches_the_full_loop(self, d, n, cap, monkeypatch):
+        # one restart, one full block, a block and one more, a block and a half
         monkeypatch.setattr(lhs, "MAX_STEPS", cap)
+        block = lhs.RESTART_BLOCK
         bases = build_mub(d, n)
-        for seed in range(5):
-            got = optimize_single_state(bases, restarts=12, seed=seed)
-            want = reference_optimize_single_state(bases, restarts=12, seed=seed,
-                                                   tol=math.ulp(0.0), max_iter=cap)
-            assert got.objective == want.objective, seed
-            assert got.best_state.tobytes() == want.best_state.tobytes(), seed
-            assert got.iterations == want.iterations, seed
-            assert got.converged is want.converged, seed
+        for restarts in (1, block, block + 1, block + block // 2):
+            for seed in range(5):
+                got = optimize_single_state(bases, restarts=restarts, seed=seed)
+                want = reference_optimize_single_state(bases, restarts=restarts, seed=seed,
+                                                       tol=math.ulp(0.0), max_iter=cap)
+                case = (restarts, seed)
+                assert got.objective == want.objective, case
+                assert got.best_state.tobytes() == want.best_state.tobytes(), case
+                assert got.iterations == want.iterations, case
+                assert got.converged is want.converged, case
+
+    def test_a_falling_step_names_its_objectives(self, monkeypatch):
+        # restart 4 of the first block is sent to (1, i)/sqrt(2), unbiased to
+        # both qubit bases, so its objective falls to 1/2 while the others rise
+        bases, seed, victim = build_mub(2, 2), 3, 4
+        unbiased = np.array([1, 1j]) / math.sqrt(2)
+        eigenvector, calls = lhs.principal_eigenvector, []
+
+        def sabotaged(m):
+            v = eigenvector(m)
+            if not calls:
+                assert v.shape == (lhs.RESTART_BLOCK, 2)
+                v[victim] = unbiased
+            calls.append(len(m))
+            return v
+
+        monkeypatch.setattr(lhs, "principal_eigenvector", sabotaged)
+        root = np.random.SeedSequence(seed)
+        start = [random_pure_state(2, np.random.default_rng(root.spawn(1)[0]))
+                 for _ in range(victim + 1)][victim]
+        old = float((np.abs(bases @ start.conj()) ** 2).max(axis=1).mean())
+        new = float((np.abs(bases @ unbiased.conj()) ** 2).max(axis=1).mean())
+        assert old > new + 1e-12
+        message = (f"objective decreased from {old!r} to {new!r}; "
+                   f"the alternating steps must be monotone")
+        with pytest.raises(RuntimeError) as err:
+            optimize_single_state(bases, restarts=9, seed=seed)
+        assert str(err.value) == message
+        assert calls == [lhs.RESTART_BLOCK]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_qubit_oracle_matches_conjugated_bases(self, n):
@@ -262,14 +314,14 @@ class TestFixedPointStop:
 
     def test_skips_the_repeated_step(self, eigh_calls):
         # every restart ends on a repeat, which the full loop diagonalized
-        # again: 113 eigh calls at seed 0, against 81
+        # again: 113 matrices diagonalized at seed 0, against 81
         result = optimize_single_state(build_mub(31, 32), seed=0)
         assert result.converged
         assert eigh_calls[0] == result.iterations - 32 == 81
 
     def test_does_not_spin(self, eigh_calls):
         # the restart stops at its fixed point, far below the step cap, and
-        # only the repeat makes no eigh call
+        # only the repeat diagonalizes nothing
         result = optimize_single_state(build_mub(61, 62), restarts=1)
         assert result.converged is True
         assert result.iterations - 1 == eigh_calls[0] < 100

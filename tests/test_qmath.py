@@ -203,6 +203,38 @@ class TestPrincipalEigenvector:
         with pytest.raises(ValueError, match="^matrix has a NaN or infinite entry$"):
             principal_eigenvector(m)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stack_matches_each_matrix(self, seed):
+        # a (k, d, d) stack, a tied top eigenvalue included, gives each
+        # matrix's own eigenvector bit for bit
+        rng = np.random.default_rng(600 + seed)
+        stack = np.stack([random_hermitian(6, rng) for _ in range(4)] + [np.eye(6)])
+        got = principal_eigenvector(stack)
+        assert got.shape == (5, 6)
+        for m, v in zip(stack, got):
+            assert v.tobytes() == principal_eigenvector(m).tobytes()
+        nested = principal_eigenvector(stack[:4].reshape(2, 2, 6, 6))
+        assert nested.tobytes() == got[:4].tobytes()
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    @pytest.mark.parametrize("entry, value, dev", [
+        ((2, 0), 2e-10, "2.000e-10"),  # below the diagonal only
+        ((1, 1), 1 + 1.5e-10j, "3.000e-10"),  # on it: m - m^dag = 2i Im m
+    ])
+    def test_stack_rejects_one_non_hermitian_matrix(self, k, entry, value, dev):
+        stack = np.stack([np.eye(3, dtype=complex)] * 5)
+        stack[(k, *entry)] = value
+        with pytest.raises(ValueError) as err:
+            principal_eigenvector(stack)
+        assert str(err.value) == f"matrix is not Hermitian: max |m - m^dag| = {dev} > 1.0e-10"
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_stack_rejects_one_nan(self, k):
+        stack = np.stack([np.eye(3, dtype=complex)] * 5)
+        stack[k, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="^matrix has a NaN or infinite entry$"):
+            principal_eigenvector(stack)
+
     def test_qubit_mub_average(self):
         # average of the +z/+x/+y projectors: the 2x2 Bloch form
         # I/2 + (sx+sy+sz)/6 has principal axis (1,1,1)/sqrt(3), whose
