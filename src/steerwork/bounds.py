@@ -2,12 +2,12 @@
 
 Conventions: k_B = 1 and hbar = 1, omega carries arbitrary energy units,
 beta is inverse energy (math.inf = zero temperature). Every formula depends
-on temperature only through the ground-level thermal population
-P = e^{beta*omega} / (e^{beta*omega} + d - 1), which is computed in the
-overflow-safe form 1 / (1 + (d-1) e^{-beta*omega}). Both ceilings have the
-shape omega*overlap - omega*P: the classical one with the Rastegin overlap
-bound r, the quantum one with overlap 1. Their ratio is therefore the
-dimensionless xi = (1 - P) / (r - P), which no omega can underflow.
+on temperature only through the ground-level thermal population P. With
+t = (d-1) e^{-beta*omega}, which cannot overflow, neither P = 1/(1 + t) nor
+1 - P = t/(1 + t) is a difference, so neither cancels where P nears 1.
+Both ceilings have the shape omega*overlap - omega*P: the classical one with
+the Rastegin overlap bound r, the quantum one with overlap 1. Their ratio is
+the dimensionless xi = (1 - P) / (r - P), which no omega can underflow.
 """
 
 from __future__ import annotations
@@ -18,19 +18,25 @@ from dataclasses import asdict, dataclass
 from .mub import _as_dims
 
 
-def ground_state_population(d: int, omega: float, beta: float) -> float:
-    """Thermal weight on the ground level of a gap-omega, d-level spectrum.
+def _thermal_weights(d: int, omega: float, beta: float) -> tuple[float, float]:
+    """Thermal weights (P, 1 - P) on and off the ground level of a gap-omega, d-level spectrum.
 
     The one check of the energies: raises ValueError unless 0 < omega < inf
-    and beta >= 0 (inf allowed); d is checked by mub._as_dims. Equals 1/d at
-    beta = 0 and 1 at beta = inf; exp(-beta*omega) never overflows for
+    and beta >= 0 (inf allowed); d is checked by mub._as_dims. P equals 1/d
+    at beta = 0 and 1 at beta = inf; exp(-beta*omega) never overflows for
     beta >= 0, omega > 0.
     """
     if not 0 < omega < math.inf:
         raise ValueError(f"energy gap must be finite and positive, got omega={omega}")
     if not (beta >= 0):
         raise ValueError(f"inverse temperature must be >= 0, got beta={beta}")
-    return 1.0 / (1.0 + (d - 1) * math.exp(-beta * omega))
+    t = (d - 1) * math.exp(-beta * omega)
+    return 1.0 / (1.0 + t), t / (1.0 + t)
+
+
+def ground_state_population(d: int, omega: float, beta: float) -> float:
+    """Thermal weight P on the ground level, checked as _thermal_weights checks it."""
+    return _thermal_weights(d, omega, beta)[0]
 
 
 def rastegin_bound(d: int, n: int) -> float:
@@ -59,7 +65,8 @@ class BoundSet:
     entangled state in the conjugated bases. advantage is the criterion
     d*sqrt(n)/(sqrt(n) + d - 1) > 1, that is r < 1, which holds for every
     d >= 2 once n >= 2. xi is None when r <= P, where the classical bound
-    is <= 0 and the ratio is undefined. population is P, left out of JSON.
+    is <= 0 and the ratio is undefined. population and excited, that is
+    P and 1 - P, are left out of JSON.
     """
 
     d: int
@@ -72,29 +79,31 @@ class BoundSet:
     rastegin: float
     advantage: bool
     population: float
+    excited: float
 
     def to_json_dict(self) -> dict:
-        """The fields in order but population, with beta strict-JSON safe."""
+        """The fields in order but population and excited, with beta strict-JSON safe."""
         fields = {**asdict(self), "beta": json_float(self.beta)}
-        return {key: value for key, value in fields.items() if key != "population"}
+        return {k: v for k, v in fields.items() if k not in ("population", "excited")}
 
 
 def evaluate_bounds(d: int, n: int, omega: float, beta: float) -> BoundSet:
-    """Validate one configuration and bundle its bounds from one r and one P, d, n as ints.
+    """Validate one configuration and bundle its bounds from one r, P and 1 - P, d, n as ints.
 
     (d, n) are checked by mub._as_dims first, then omega and beta.
     """
     d, n = _as_dims(d, n)
     r = rastegin_bound(d, n)
-    pop = ground_state_population(d, omega, beta)
+    pop, excited = _thermal_weights(d, omega, beta)
     return BoundSet(
         d=d, n=n, omega=omega, beta=beta,
         w_classical=work_above_reset(omega, r, pop),
-        w_quantum=omega * (1.0 - pop),
-        xi=(1.0 - pop) / (r - pop) if r > pop else None,
+        w_quantum=omega * excited,
+        xi=excited / (r - pop) if r > pop else None,
         rastegin=r,
         advantage=r < 1.0,
         population=pop,
+        excited=excited,
     )
 
 

@@ -162,11 +162,9 @@ def run_exact_quantum(d: int, n: int, omega: float = 1.0, beta: float = 1.0) -> 
     """
     p, table, bs = _protocol_table(d, n, omega, beta)
     mean = float(np.sum(p * table) / bs.n)
-    if abs(mean - (1.0 - bs.population)) > ATOL:
-        raise RuntimeError(
-            f"protocol average {mean!r} deviates from the quantum ceiling "
-            f"{1.0 - bs.population!r} in units of omega"
-        )
+    if abs(mean - bs.excited) > ATOL:
+        raise RuntimeError(f"protocol average {mean!r} deviates from the quantum ceiling "
+                           f"{bs.excited!r} in units of omega")
     return _report(bs, mode="exact", shots=0, seed=None, average=omega * mean, stderr=None,
                    per_round=omega * table)
 

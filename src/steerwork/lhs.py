@@ -18,12 +18,13 @@ maximization with random restarts: one overlap table per iterate gives
 both the objective and the next picks, and a restart stops at its fixed
 point. The restarts run in lockstep blocks: each step diagonalizes the
 block's d x d matrices in one stacked eigh, and principal_eigenvector and
-the helpers around it take such stacks. The optimum is the largest
-lambda_max of (1/n) sum_x |phi_x^{a(x)}><phi_x^{a(x)}| over the d^n pick
-functions a(x); qubit_oracle scores the 2^n of them at d = 2 as one
-stack. General hidden-state models, the game pipeline on them and a
-Bloch-sphere grid search live in tests/oracles.py, where the tests check
-these closed forms against them.
+the helpers around it take such stacks; those average projectors are
+Hermitian by construction. The optimum is the largest lambda_max of
+(1/n) sum_x |phi_x^{a(x)}><phi_x^{a(x)}| over the d^n pick functions
+a(x); qubit_oracle scores the 2^n of them at d = 2 as one stack. General
+hidden-state models, the game pipeline on them and a Bloch-sphere grid
+search live in tests/oracles.py, where the tests check these closed
+forms against them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mub import ATOL, _as_int, _bases_shape
+from .mub import _as_int, _bases_shape
 
 # Defaults of optimize_single_state, which the lhs-opt flags share.
 DEFAULT_RESTARTS, DEFAULT_SEED = 32, 0
@@ -86,22 +87,13 @@ def principal_eigenvector(m: np.ndarray) -> np.ndarray:
     """Unit eigenvector of the largest eigenvalue of each matrix of the (..., d, d) stack m.
 
     Returns the (..., d) stack of eigenvectors; each matrix is diagonalized
-    as it would be alone. Every matrix must be Hermitian within ATOL: a
-    non-Hermitian one, or a NaN or inf anywhere, raises ValueError. A tie
-    goes to the first such column of eigh's ascending output; the global
-    phase is eigh's.
+    as it would be alone. The matrices must be Hermitian, as the average
+    projectors of _average_projectors are by construction: eigh reads only
+    their lower triangle. A NaN or inf anywhere raises ValueError. A tie
+    goes to the first such column of eigh's ascending output, in eigh's phase.
     """
     if not np.isfinite(m).all():
         raise ValueError("matrix has a NaN or infinite entry")
-    # m - m^dag on the upper triangle only: the lower one holds the same
-    # moduli, so the maximum is the same, bit for bit, at half the memory
-    i, j = np.triu_indices(m.shape[-1])
-    upper, lower = m[..., i, j], m[..., j, i]
-    upper -= np.conjugate(lower, out=lower)
-    dev = float(np.abs(upper).max())
-    del upper, lower  # before eigh allocates its own stacks
-    if dev > ATOL:
-        raise ValueError(f"matrix is not Hermitian: max |m - m^dag| = {dev:.3e} > {ATOL:.1e}")
     w, v = np.linalg.eigh(m)
     return np.take_along_axis(v, np.argmax(w, axis=-1)[..., None, None], axis=-1)[..., 0]
 
@@ -158,9 +150,9 @@ def optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_RESTARTS,
     root = np.random.SeedSequence(seed)
 
     for start in range(0, restarts, RESTART_BLOCK):
-        # one child at a time: the same spawn keys as spawn(restarts), in O(block) memory
-        psi = np.stack([random_pure_state(d, np.random.default_rng(root.spawn(1)[0]))
-                        for _ in range(min(RESTART_BLOCK, restarts - start))])
+        # one block's children at a time: the spawn keys of spawn(restarts), in O(block) memory
+        psi = np.stack([random_pure_state(d, np.random.default_rng(child))
+                        for child in root.spawn(min(RESTART_BLOCK, restarts - start))])
         picks, obj = _best_picks(bases, psi)
         converged = np.zeros(len(psi), dtype=bool)
         last = np.full_like(picks, -1)  # the picks each state was built from; none yet

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -145,18 +146,19 @@ class TestBoundSet:
         bs = evaluate_bounds(3, 4, 1.0, 1.0)
         assert bs.w_classical == bounds.work_above_reset(
             1.0, rastegin_bound(3, 4), ground_state_population(3, 1.0, 1.0))
-        assert bs.w_quantum == 1.0 * (1.0 - ground_state_population(3, 1.0, 1.0))
+        assert (bs.population, bs.excited) == bounds._thermal_weights(3, 1.0, 1.0)
+        assert bs.w_quantum == 1.0 * bs.excited
         assert bs.xi == pytest.approx(XI_D3N4_B1, abs=1e-10)
         assert bs.rastegin == rastegin_bound(3, 4)
         assert bs.advantage
 
     def test_one_population_and_overlap_bound(self, monkeypatch):
         calls = []
-        for name in ("ground_state_population", "rastegin_bound"):
+        for name in ("_thermal_weights", "rastegin_bound"):
             genuine = getattr(bounds, name)
             monkeypatch.setattr(bounds, name, lambda *a, f=genuine, k=name: calls.append(k) or f(*a))
         evaluate_bounds(3, 4, 1.0, 1.0)
-        assert sorted(calls) == ["ground_state_population", "rastegin_bound"]
+        assert sorted(calls) == ["_thermal_weights", "rastegin_bound"]
 
     @pytest.mark.parametrize("run", [
         lambda: run_exact_quantum(3, 4),
@@ -164,16 +166,16 @@ class TestBoundSet:
         lambda: main(["lhs-opt", "--dim", "3", "--n-bases", "4", "--restarts", "2"]),
     ], ids=["exact", "monte_carlo", "lhs_opt"])
     def test_one_bound_set_per_run(self, monkeypatch, run):
-        # a run validates its parameters and computes P in evaluate_bounds alone,
-        # once, wherever it is called from (the CLI imports it by name)
+        # a run validates its parameters and computes P and 1 - P in evaluate_bounds
+        # alone, once, wherever it is called from (the CLI imports it by name)
         calls = []
-        for name in ("evaluate_bounds", "ground_state_population"):
+        for name in ("evaluate_bounds", "_thermal_weights"):
             counted = lambda *a, f=getattr(bounds, name), k=name: calls.append(k) or f(*a)
             monkeypatch.setattr(bounds, name, counted)
             if name == "evaluate_bounds":
                 monkeypatch.setattr("steerwork.cli.evaluate_bounds", counted)
         run()
-        assert sorted(calls) == ["evaluate_bounds", "ground_state_population"]
+        assert sorted(calls) == ["_thermal_weights", "evaluate_bounds"]
 
     def test_population_is_p_and_not_in_json(self):
         bs = evaluate_bounds(3, 4, 2.0, 0.5)
@@ -205,3 +207,49 @@ class TestBoundSet:
             bs = evaluate_bounds(d, n, 1.0, beta)
             if bs.advantage:
                 assert bs.w_quantum >= bs.w_classical
+
+
+def _grid(beta_kind, size=200, seed=11):
+    """Log-uniform (d, n, omega, beta): d in [2, 64], n in [1, d + 1], omega in
+    [1e-300, 1e300], and beta * omega in [1e-8, 700] unless beta is 0 or inf."""
+    rng = np.random.default_rng(seed)
+    for _ in range(size):
+        d = round(math.exp(rng.uniform(math.log(2), math.log(64))))
+        n = round(math.exp(rng.uniform(0.0, math.log(d + 1))))
+        omega = 10.0 ** rng.uniform(-300, 300)
+        beta = {"zero": 0.0, "inf": math.inf}.get(beta_kind)
+        if beta is None:
+            beta = 10.0 ** rng.uniform(-8, math.log10(700)) / omega
+        yield d, n, omega, beta
+
+
+@pytest.mark.parametrize("beta_kind", ["finite", "zero", "inf"])
+def test_closed_forms_match_mpmath(beta_kind):
+    # P, 1 - P and w_quantum hold to 4 ulps relative, times 1 + beta*omega:
+    # beta * omega is rounded before exp, whose condition number there is
+    # beta*omega. w_classical and xi may also lose eps*(r + P)/|r - P|, their
+    # condition number near the advantage edge r ~ P. A work that underflows
+    # may miss by the subnormal spacing ulp(0) besides.
+    eps = math.ulp(1.0)
+    with mpmath.workdps(50):
+        for d, n, omega, beta in _grid(beta_kind):
+            bs = evaluate_bounds(d, n, omega, beta)
+            w, b = mpmath.mpf(omega), mpmath.mpf(beta)
+            t = (d - 1) * mpmath.exp(-b * w) if beta < math.inf else mpmath.mpf(0)
+            pop, excited = 1 / (1 + t), t / (1 + t)
+            r = (1 + (d - 1) / mpmath.sqrt(n)) / d
+            gap = (r - 1 + r * t) / (1 + t)  # r - P, without 1 + t rounding t away
+            tol = 4 * eps * (1 + (b * w if 0 < beta < math.inf else 0))
+            case = (d, n, omega, beta)
+            assert abs(bs.population - pop) <= tol * pop, case
+            assert abs(bs.excited - excited) <= tol * excited, case
+            assert abs(bs.w_quantum - w * excited) <= tol * w * excited + math.ulp(0.0), case
+            if not gap:
+                assert bs.w_classical == 0.0 and bs.xi is None, case
+                continue
+            edge = 4 * eps * (r + pop) / abs(gap)
+            assert abs(bs.w_classical - w * gap) <= edge * w * abs(gap) + math.ulp(0.0), case
+            if edge < 1:
+                assert (bs.xi is None) == (gap < 0), case
+            if bs.xi is not None and gap > 0:
+                assert abs(bs.xi - excited / gap) <= edge * excited / gap, case

@@ -19,7 +19,8 @@ from oracles import (
     random_unitary,
     tensor_product,
 )
-from steerwork.lhs import principal_eigenvector, random_pure_state
+from steerwork.lhs import _average_projectors, principal_eigenvector, random_pure_state
+from steerwork.mub import build_mub
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -185,19 +186,16 @@ class TestPrincipalEigenvector:
         assert np.array_equal(a, b)
         assert overlap2(a, np.array([1.0, 0, 0])) > 1 - 1e-12
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            principal_eigenvector(np.array([[0, 1], [0, 0]], dtype=complex))
-
     def test_rejects_nan(self):
-        # a NaN fails every comparison, so it is named before the Hermiticity test
+        # eigh hands back NaN eigenvalues without an error, so the finite
+        # check names a NaN before eigh sees it
         m = np.eye(3, dtype=complex)
         m[1, 1] = np.nan
         with pytest.raises(ValueError, match="^matrix has a NaN or infinite entry$"):
             principal_eigenvector(m)
 
     def test_rejects_inf(self):
-        # inf - inf on the diagonal would make the deviation NaN as well
+        # an inf is named too: eigh would turn it into NaN eigenvalues
         m = np.eye(3, dtype=complex)
         m[2, 2] = np.inf
         with pytest.raises(ValueError, match="^matrix has a NaN or infinite entry$"):
@@ -216,17 +214,18 @@ class TestPrincipalEigenvector:
         nested = principal_eigenvector(stack[:4].reshape(2, 2, 6, 6))
         assert nested.tobytes() == got[:4].tobytes()
 
-    @pytest.mark.parametrize("k", [0, 2, 4])
-    @pytest.mark.parametrize("entry, value, dev", [
-        ((2, 0), 2e-10, "2.000e-10"),  # below the diagonal only
-        ((1, 1), 1 + 1.5e-10j, "3.000e-10"),  # on it: m - m^dag = 2i Im m
-    ])
-    def test_stack_rejects_one_non_hermitian_matrix(self, k, entry, value, dev):
-        stack = np.stack([np.eye(3, dtype=complex)] * 5)
-        stack[(k, *entry)] = value
-        with pytest.raises(ValueError) as err:
-            principal_eigenvector(stack)
-        assert str(err.value) == f"matrix is not Hermitian: max |m - m^dag| = {dev} > 1.0e-10"
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 31, 61])
+    def test_average_projectors_are_hermitian(self, d):
+        # principal_eigenvector's precondition: the optimizer's matrices are
+        # picked^T conj(picked) / n, Hermitian up to rounding relative to m
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(700 + d)
+        for n in (2, d + 1):
+            bases = build_mub(d, n)
+            for _ in range(5):
+                m = _average_projectors(bases, rng.integers(0, d, size=(8, n)))
+                dev = np.abs(m - np.conj(np.swapaxes(m, 1, 2))).max()
+                assert dev <= 8 * eps * np.abs(m).max(), (n, dev)
 
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_stack_rejects_one_nan(self, k):
