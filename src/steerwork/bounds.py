@@ -13,6 +13,7 @@ the dimensionless xi = (1 - P) / (r - P), which no omega can underflow.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 from .mub import _as_dims
@@ -23,20 +24,16 @@ def _thermal_weights(d: int, omega: float, beta: float) -> tuple[float, float]:
 
     The one check of the energies: raises ValueError unless 0 < omega < inf
     and beta >= 0 (inf allowed); d is checked by mub._as_dims. P equals 1/d
-    at beta = 0 and 1 at beta = inf; exp(-beta*omega) never overflows for
-    beta >= 0, omega > 0.
+    at beta = 0 and 1 at beta = inf; exp(-beta*omega) never overflows, and a
+    subnormal t is one exp, so that it keeps every bit it can hold.
     """
     if not 0 < omega < math.inf:
         raise ValueError(f"energy gap must be finite and positive, got omega={omega}")
     if not (beta >= 0):
         raise ValueError(f"inverse temperature must be >= 0, got beta={beta}")
     t = (d - 1) * math.exp(-beta * omega)
+    t = t if t >= sys.float_info.min else math.exp(math.log(d - 1) - beta * omega)
     return 1.0 / (1.0 + t), t / (1.0 + t)
-
-
-def ground_state_population(d: int, omega: float, beta: float) -> float:
-    """Thermal weight P on the ground level, checked as _thermal_weights checks it."""
-    return _thermal_weights(d, omega, beta)[0]
 
 
 def rastegin_bound(d: int, n: int) -> float:
@@ -95,10 +92,13 @@ def evaluate_bounds(d: int, n: int, omega: float, beta: float) -> BoundSet:
     d, n = _as_dims(d, n)
     r = rastegin_bound(d, n)
     pop, excited = _thermal_weights(d, omega, beta)
+    # omega times a subnormal 1 - P would scale up its rounding: take one exp
+    w_quantum = (omega * excited if excited >= sys.float_info.min
+                 else math.exp(math.log(d - 1) + math.log(omega) - beta * omega))
     return BoundSet(
         d=d, n=n, omega=omega, beta=beta,
         w_classical=work_above_reset(omega, r, pop),
-        w_quantum=omega * excited,
+        w_quantum=w_quantum,
         xi=excited / (r - pop) if r > pop else None,
         rastegin=r,
         advantage=r < 1.0,

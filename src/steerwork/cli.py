@@ -27,7 +27,7 @@ import sys
 from .bounds import evaluate_bounds, json_float, work_above_reset
 from .game import run_exact_quantum, run_monte_carlo
 from .lhs import DEFAULT_RESTARTS, DEFAULT_SEED, optimize_single_state, qubit_oracle
-from .mub import ATOL, MubConstructionError, build_mub, check_family, verify_mub
+from .mub import ATOL, MAX_SEED, MubConstructionError, build_mub, check_family, verify_mub
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -42,9 +42,6 @@ MAX_SHOTS = 10**9
 # 2026-10-20), 10^4 restarts take about 43 s, each stopping at its fixed
 # point after about 5 steps.
 MAX_RESTARTS = 10**4
-# Monte Carlo keys a Philox generator with the seed, and Philox keys are
-# 128-bit; lhs-opt shares the range so that one seed works for both.
-MAX_SEED = 2**128 - 1
 
 
 def _cell(value, csv: bool = False) -> str:
@@ -202,7 +199,7 @@ def cmd_lhs_opt(args) -> int:
     bases = build_mub(bs.d, bs.n)
     result = optimize_single_state(bases, args.restarts, args.seed)
     achievable = work_above_reset(args.omega, result.objective, bs.population)
-    gap = bs.w_classical - achievable
+    gap = args.omega * (bs.rastegin - result.objective)  # carries no omega * P
     oracle = qubit_oracle(bases) if args.dim == 2 else None
     agreement = abs(oracle.objective - result.objective) if oracle else None
 

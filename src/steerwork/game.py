@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import bounds as bounds_mod
-from .mub import ATOL, _as_int, build_mub
+from .mub import ATOL, _as_int, _seeded_rng, build_mub
 
 # Monte Carlo shots drawn per chunk; memory is O(CHUNK) whatever the shot count.
 CHUNK = 1 << 16
@@ -169,17 +169,15 @@ def run_exact_quantum(d: int, n: int, omega: float = 1.0, beta: float = 1.0) -> 
                    per_round=omega * table)
 
 
-def _sample_rounds(p: np.ndarray, shots: int, seed: int) -> np.ndarray:
+def _sample_rounds(p: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Histogram counts[x, a] of shots rounds: x uniform, then a drawn from p[x].
 
-    Shots are drawn CHUNK at a time from a Philox generator keyed by seed.
-    The outcome of a shot is the number of cumulative thresholds
-    cdf[x, :m-1] that its uniform u reaches; the CDF never decreases, so
-    that count is already at most m - 1.
+    Shots are drawn CHUNK at a time from rng. The outcome of a shot is the
+    number of cumulative thresholds cdf[x, :m-1] that its uniform u
+    reaches; the CDF never decreases, so that count is already at most m - 1.
     """
     n, m = p.shape
     thresholds = np.cumsum(np.clip(p, 0.0, None), axis=1)[:, :-1]
-    rng = np.random.Generator(np.random.Philox(key=seed))
     counts = np.zeros(n * m, dtype=np.int64)
     for start in range(0, shots, CHUNK):
         k = min(CHUNK, shots - start)
@@ -197,19 +195,18 @@ def run_monte_carlo(d: int, n: int, omega: float = 1.0, beta: float = 1.0, *,
     """Operational sampling of the quantum protocol.
 
     Each shot draws x uniformly, then a from p(a|x), and banks the exact
-    per-round work of that (a, x). The generator is counter-based (Philox)
-    keyed by the seed, and the mean and variance are deterministic sums
-    over the histogram of rounds, so equal seeds give bit-identical
-    reports. stderr is the sample standard deviation over sqrt(shots)
-    (0.0 for a single shot).
+    per-round work of that (a, x). The generator is mub._seeded_rng(seed),
+    and the mean and variance are deterministic sums over the histogram of
+    rounds, so equal seeds give bit-identical reports. stderr is the sample
+    standard deviation over sqrt(shots) (0.0 for a single shot).
     """
-    shots, seed = _as_int("shots", shots), _as_int("seed", seed)
+    shots, rng = _as_int("shots", shots), _seeded_rng(seed)
     if shots < 1:
         raise ValueError(f"Monte Carlo needs shots >= 1, got {shots}")
     p, table, bs = _protocol_table(d, n, omega, beta)
-    counts = _sample_rounds(p, shots, seed)
+    counts = _sample_rounds(p, shots, rng)
     mean = float(np.sum(counts * table) / shots)
     var = float(np.sum(counts * (table - mean) ** 2) / (shots - 1)) if shots > 1 else 0.0
-    return _report(bs, mode="monte_carlo", shots=shots, seed=seed,
+    return _report(bs, mode="monte_carlo", shots=shots, seed=int(seed),
                    average=omega * mean, stderr=omega * math.sqrt(var / shots),
                    per_round=omega * table)

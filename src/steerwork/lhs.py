@@ -16,15 +16,16 @@ the best pure state is the nonconvex problem
 max_psi (1/n) sum_x max_a |<phi_x^a|psi>|^2, handled by alternating
 maximization with random restarts: one overlap table per iterate gives
 both the objective and the next picks, and a restart stops at its fixed
-point. The restarts run in lockstep blocks: each step diagonalizes the
-block's d x d matrices in one stacked eigh, and principal_eigenvector and
-the helpers around it take such stacks; those average projectors are
-Hermitian by construction. The optimum is the largest lambda_max of
-(1/n) sum_x |phi_x^{a(x)}><phi_x^{a(x)}| over the d^n pick functions
-a(x); qubit_oracle scores the 2^n of them at d = 2 as one stack. General
-hidden-state models, the game pipeline on them and a Bloch-sphere grid
-search live in tests/oracles.py, where the tests check these closed
-forms against them.
+point. The restarts take their Haar-random starts in turn from one
+stream, mub._seeded_rng, and run in lockstep blocks: each step
+diagonalizes the block's d x d matrices in one stacked eigh, and
+principal_eigenvector and the helpers around it take such stacks; those
+average projectors are Hermitian by construction. The optimum is the
+largest lambda_max of (1/n) sum_x |phi_x^{a(x)}><phi_x^{a(x)}| over the d^n
+pick functions a(x); qubit_oracle scores the 2^n of them at d = 2 as one
+stack. General hidden-state models, the game pipeline on them and a
+Bloch-sphere grid search live in tests/oracles.py, where the tests check
+these closed forms against them.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mub import _as_int, _bases_shape
+from .mub import _as_int, _bases_shape, _seeded_rng
 
 # Defaults of optimize_single_state, which the lhs-opt flags share.
 DEFAULT_RESTARTS, DEFAULT_SEED = 32, 0
@@ -75,12 +76,6 @@ class OptimizerResult:
             "iterations": self.iterations,
             "converged": self.converged,
         }
-
-
-def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state: normalized complex Gaussian vector."""
-    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return z / np.linalg.norm(z)
 
 
 def principal_eigenvector(m: np.ndarray) -> np.ndarray:
@@ -127,8 +122,8 @@ def optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_RESTARTS,
     (ties to the smallest index), then move to the principal eigenvector of
     the average of the selected projectors. Both half-steps are exact
     maximizations, so the objective never decreases; a decrease beyond
-    rounding raises RuntimeError. Restarts use seeds spawned from the
-    master seed and the best restart wins, ties going to the earliest.
+    rounding raises RuntimeError. Restart i starts from the i-th Haar state
+    of mub._seeded_rng(seed); the best restart wins, ties going to the earliest.
     Each iterate's overlap table |<phi_x^a|psi>|^2 gives both its
     objective and the next picks. A restart stops, converged, at its fixed
     point: when a computed step fails to raise the objective, or when its
@@ -140,19 +135,19 @@ def optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_RESTARTS,
     alone, so memory is O(block) whatever restarts is. bases is the
     (n, d, d) array of mub.build_mub, or ValueError from mub._bases_shape.
     restarts and seed must be integral (numpy integers are), or ValueError
-    names the one that is not.
+    names the one that is not; so does a seed outside 0 to mub.MAX_SEED.
     """
     _, d = _bases_shape(bases)
-    restarts, seed = _as_int("restarts", restarts), _as_int("seed", seed)
+    restarts, rng = _as_int("restarts", restarts), _seeded_rng(seed)
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
     best_obj, best_state, best_converged, total_iters = -math.inf, None, False, 0
-    root = np.random.SeedSequence(seed)
 
     for start in range(0, restarts, RESTART_BLOCK):
-        # one block's children at a time: the spawn keys of spawn(restarts), in O(block) memory
-        psi = np.stack([random_pure_state(d, np.random.default_rng(child))
-                        for child in root.spawn(min(RESTART_BLOCK, restarts - start))])
+        # restart i's Haar start: its real row, then its imaginary row, in stream order
+        g = rng.standard_normal((min(RESTART_BLOCK, restarts - start), 2, d))
+        psi = g[:, 0] + 1j * g[:, 1]
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
         picks, obj = _best_picks(bases, psi)
         converged = np.zeros(len(psi), dtype=bool)
         last = np.full_like(picks, -1)  # the picks each state was built from; none yet

@@ -55,6 +55,8 @@ OPENBLAS_THREAD_GETTERS = (
 # before any work starts. Every family has n >= 2, so it also caps d at
 # 5792; odd primes up to d = 401 fit with all d + 1 bases.
 MAX_BASES_BYTES = 2**30
+# Philox keys are 128-bit, and Monte Carlo and the optimizer key one with the seed.
+MAX_SEED = 2**128 - 1
 
 # The primes up to 41 as Miller-Rabin witnesses decide every d below
 # MR_EXACT_BELOW (Sorenson and Webster, 2017).
@@ -140,6 +142,14 @@ def _as_int(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an int, got {value!r}") from None
+
+
+def _seeded_rng(seed) -> np.random.Generator:
+    """The one random stream of a seeded run: Philox keyed by an int seed in [0, MAX_SEED]."""
+    seed = _as_int("seed", seed)
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must be between 0 and {MAX_SEED}, got {seed}")
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def _as_dims(d, n) -> tuple[int, int]:

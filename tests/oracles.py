@@ -24,8 +24,7 @@ import numpy as np
 from steerwork import game
 from steerwork.bounds import evaluate_bounds
 from steerwork.game import WorkReport
-from steerwork.lhs import (DEFAULT_RESTARTS, DEFAULT_SEED, OptimizerResult,
-                           principal_eigenvector, random_pure_state)
+from steerwork.lhs import DEFAULT_RESTARTS, DEFAULT_SEED, OptimizerResult, principal_eigenvector
 from steerwork.mub import ATOL
 
 ATOL_CONSTRUCT = 1e-12
@@ -178,6 +177,16 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(g)
     phases = np.diagonal(r) / np.abs(np.diagonal(r))
     return q * phases
+
+
+def random_pure_state(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random pure state: a complex Gaussian vector, real part drawn first, normalized.
+
+    The norm is taken along the last axis, as lhs.optimize_single_state takes
+    it for each row of a block of starts, so the two agree bit for bit.
+    """
+    z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
 # -- mutually unbiased bases -----------------------------------------------
@@ -445,12 +454,13 @@ def reference_optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_R
     included, on a conjugated copy of the bases; the loop ends only on the
     gain test (gain < tol) or max_iter. At tol = ulp(0) and max_iter =
     lhs.MAX_STEPS, the package's optimizer must report the same objective,
-    iterations, converged flag and state bytes.
+    iterations, converged flag and state bytes. Each restart draws its start
+    with random_pure_state, in turn, from one Philox stream keyed by seed.
     """
     n, d = bases.shape[:2]
     conj = bases.conj()
     best_obj, best_state, best_converged, total_iters = -math.inf, None, False, 0
-    root = np.random.SeedSequence(seed)
+    rng = np.random.Generator(np.random.Philox(key=seed))
 
     def overlaps(psi):
         amps = np.abs(conj @ psi) ** 2
@@ -460,7 +470,6 @@ def reference_optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_R
         return principal_eigenvector(picked.T @ picked.conj() / len(picked))
 
     for _ in range(restarts):
-        rng = np.random.default_rng(root.spawn(1)[0])
         psi = random_pure_state(d, rng)
         amps, obj = overlaps(psi)
         converged = False

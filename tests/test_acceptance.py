@@ -26,7 +26,7 @@ from oracles import (
     random_lhs_model,
     random_unitary,
 )
-from steerwork.bounds import evaluate_bounds, ground_state_population, work_above_reset
+from steerwork.bounds import _thermal_weights, evaluate_bounds, work_above_reset
 from steerwork.cli import main as cli_main
 from steerwork.game import run_exact_quantum, run_monte_carlo
 from steerwork.lhs import optimize_single_state
@@ -161,7 +161,7 @@ def test_criterion_7_generic_ceiling():
                 rho = random_density_matrix(d * d, rng)
                 povms = [projective_povm(random_unitary(d, rng).T) for _ in range(n)]
                 report = average_work(measure_assemblage(rho, povms), bases, 1.0, beta)
-                ceiling = 1.0 - ground_state_population(d, 1.0, beta)
+                ceiling = 1.0 - _thermal_weights(d, 1.0, beta)[0]
                 assert report.average <= ceiling + 1e-8, (d, beta, report.average)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from steerwork import bounds
-from steerwork.bounds import evaluate_bounds, ground_state_population, rastegin_bound
+from steerwork.bounds import _thermal_weights, evaluate_bounds, rastegin_bound
 from steerwork.cli import main
 from steerwork.game import run_exact_quantum, run_monte_carlo
 
@@ -133,19 +133,19 @@ class TestOrderingAndScaling:
 
 class TestGroundStatePopulation:
     def test_limits(self):
-        assert abs(ground_state_population(4, 1.0, 0.0) - 0.25) < 1e-15
-        assert ground_state_population(4, 1.0, math.inf) == 1.0
+        assert abs(_thermal_weights(4, 1.0, 0.0)[0] - 0.25) < 1e-15
+        assert _thermal_weights(4, 1.0, math.inf)[0] == 1.0
 
     def test_qubit_value(self):
         expect = math.e / (math.e + 1)
-        assert abs(ground_state_population(2, 1.0, 1.0) - expect) < 1e-15
+        assert abs(_thermal_weights(2, 1.0, 1.0)[0] - expect) < 1e-15
 
 
 class TestBoundSet:
     def test_bundle_matches_parts(self):
         bs = evaluate_bounds(3, 4, 1.0, 1.0)
         assert bs.w_classical == bounds.work_above_reset(
-            1.0, rastegin_bound(3, 4), ground_state_population(3, 1.0, 1.0))
+            1.0, rastegin_bound(3, 4), _thermal_weights(3, 1.0, 1.0)[0])
         assert (bs.population, bs.excited) == bounds._thermal_weights(3, 1.0, 1.0)
         assert bs.w_quantum == 1.0 * bs.excited
         assert bs.xi == pytest.approx(XI_D3N4_B1, abs=1e-10)
@@ -179,7 +179,7 @@ class TestBoundSet:
 
     def test_population_is_p_and_not_in_json(self):
         bs = evaluate_bounds(3, 4, 2.0, 0.5)
-        assert bs.population == ground_state_population(3, 2.0, 0.5)
+        assert bs.population == _thermal_weights(3, 2.0, 0.5)[0]
         assert list(bs.to_json_dict()) == ["d", "n", "omega", "beta", "w_classical",
                                            "w_quantum", "xi", "rastegin", "advantage"]
 
@@ -211,25 +211,29 @@ class TestBoundSet:
 
 def _grid(beta_kind, size=200, seed=11):
     """Log-uniform (d, n, omega, beta): d in [2, 64], n in [1, d + 1], omega in
-    [1e-300, 1e300], and beta * omega in [1e-8, 700] unless beta is 0 or inf."""
+    [1e-300, 1e300], and beta * omega log-uniform in [1e-8, 700] ("finite"),
+    uniform in [708, 745], where e^{-beta*omega} is subnormal ("subnormal"),
+    or beta 0 or inf."""
     rng = np.random.default_rng(seed)
     for _ in range(size):
         d = round(math.exp(rng.uniform(math.log(2), math.log(64))))
         n = round(math.exp(rng.uniform(0.0, math.log(d + 1))))
         omega = 10.0 ** rng.uniform(-300, 300)
         beta = {"zero": 0.0, "inf": math.inf}.get(beta_kind)
-        if beta is None:
+        if beta_kind == "finite":
             beta = 10.0 ** rng.uniform(-8, math.log10(700)) / omega
+        elif beta_kind == "subnormal":
+            beta = rng.uniform(708, 745) / omega
         yield d, n, omega, beta
 
 
-@pytest.mark.parametrize("beta_kind", ["finite", "zero", "inf"])
+@pytest.mark.parametrize("beta_kind", ["finite", "subnormal", "zero", "inf"])
 def test_closed_forms_match_mpmath(beta_kind):
     # P, 1 - P and w_quantum hold to 4 ulps relative, times 1 + beta*omega:
     # beta * omega is rounded before exp, whose condition number there is
     # beta*omega. w_classical and xi may also lose eps*(r + P)/|r - P|, their
-    # condition number near the advantage edge r ~ P. A work that underflows
-    # may miss by the subnormal spacing ulp(0) besides.
+    # condition number near the advantage edge r ~ P. A 1 - P or a work that
+    # underflows may miss by the subnormal spacing ulp(0) besides.
     eps = math.ulp(1.0)
     with mpmath.workdps(50):
         for d, n, omega, beta in _grid(beta_kind):
@@ -242,7 +246,7 @@ def test_closed_forms_match_mpmath(beta_kind):
             tol = 4 * eps * (1 + (b * w if 0 < beta < math.inf else 0))
             case = (d, n, omega, beta)
             assert abs(bs.population - pop) <= tol * pop, case
-            assert abs(bs.excited - excited) <= tol * excited, case
+            assert abs(bs.excited - excited) <= tol * excited + math.ulp(0.0), case
             assert abs(bs.w_quantum - w * excited) <= tol * w * excited + math.ulp(0.0), case
             if not gap:
                 assert bs.w_classical == 0.0 and bs.xi is None, case

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from steerwork import game
-from steerwork.bounds import evaluate_bounds, ground_state_population
+from steerwork.bounds import _thermal_weights, evaluate_bounds
 from oracles import (
     P_EPS,
     Assemblage,
@@ -27,14 +27,15 @@ from oracles import (
     protocol_assemblage,
     random_density_matrix,
     random_lhs_model,
+    random_pure_state,
     random_unitary,
     tensor_product,
     thermal_state,
     work_term,
 )
 from steerwork.game import run_exact_quantum, run_monte_carlo
-from steerwork.lhs import optimize_single_state, random_pure_state
-from steerwork.mub import SUPPORTED_FAMILIES, MubConstructionError
+from steerwork.lhs import optimize_single_state
+from steerwork.mub import MAX_SEED, SUPPORTED_FAMILIES, MubConstructionError, _seeded_rng
 from steerwork.mub import build_mub
 
 # 1 - e/(e+1) frozen from the 50-digit closed-form evaluation
@@ -278,7 +279,7 @@ class TestAverageWork:
         povms = [projective_povm(random_unitary(d, rng).T) for _ in range(n)]
         beta = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
         report = average_work(measure_assemblage(rho, povms), bases, 1.0, beta)
-        ceiling = 1.0 - ground_state_population(d, 1.0, beta)
+        ceiling = 1.0 - _thermal_weights(d, 1.0, beta)[0]
         assert report.average <= ceiling + 1e-10
 
 
@@ -440,7 +441,7 @@ def test_one_fidelity_table_per_run(monkeypatch, shots):
     report = (run_monte_carlo(3, 4, 2.0, shots=shots) if shots
               else run_exact_quantum(3, 4, 2.0))
     assert len(checked) == 1
-    pop = ground_state_population(3, 2.0, 1.0)
+    pop = _thermal_weights(3, 2.0, 1.0)[0]
     assert np.array_equal(report.per_round, 2.0 * (checked[0].real - pop))
 
 
@@ -547,8 +548,8 @@ class TestRunMonteCarlo:
         fid = np.linspace(0.1, 1.4, 20).reshape(4, 5)
         monkeypatch.setattr(game, "_quantum_protocol", lambda d, n: (p, fid))
         report = run_monte_carlo(d=5, n=4, omega=3.0, shots=5000, seed=2)
-        table = fid - ground_state_population(5, 3.0, 1.0)
-        counts = game._sample_rounds(p, 5000, 2)
+        table = fid - _thermal_weights(5, 3.0, 1.0)[0]
+        counts = game._sample_rounds(p, 5000, _seeded_rng(2))
         works = np.repeat(table.ravel(), counts.ravel())
         assert report.average == pytest.approx(3.0 * works.mean(), rel=1e-13)
         assert report.stderr == pytest.approx(3.0 * works.std(ddof=1) / math.sqrt(5000),
@@ -571,14 +572,14 @@ class TestSampleRounds:
 
     @pytest.mark.parametrize("shots", [1, game.CHUNK - 1, game.CHUNK, game.CHUNK + 1])
     def test_counts_cover_every_shot(self, shots):
-        counts = game._sample_rounds(self.P, shots, seed=4)
+        counts = game._sample_rounds(self.P, shots, _seeded_rng(4))
         assert counts.shape == (3, 3) and counts.dtype == np.int64
         assert counts.sum() == shots
         assert np.all(counts[self.P == 0.0] == 0)
 
     def test_chi_square_against_round_law(self):
         shots = 10 * game.CHUNK + 1
-        counts = game._sample_rounds(self.P, shots, seed=11)
+        counts = game._sample_rounds(self.P, shots, _seeded_rng(11))
         positive = self.P > 0
         expected = shots * self.P[positive] / 3
         chi2 = float(np.sum((counts[positive] - expected) ** 2 / expected))
@@ -597,12 +598,12 @@ class TestSampleRounds:
             k = min(game.CHUNK, shots - start)
             x, u = rng.integers(0, n, k), rng.random(k)
             np.add.at(expected, (x, np.minimum((cdf[x] <= u[:, None]).sum(axis=1), m - 1)), 1)
-        assert np.array_equal(game._sample_rounds(self.P, shots, seed), expected)
+        assert np.array_equal(game._sample_rounds(self.P, shots, _seeded_rng(seed)), expected)
 
     def test_seed_determines_counts(self):
-        a = game._sample_rounds(self.P, 1000, seed=6)
-        assert np.array_equal(a, game._sample_rounds(self.P, 1000, seed=6))
-        assert not np.array_equal(a, game._sample_rounds(self.P, 1000, seed=7))
+        a = game._sample_rounds(self.P, 1000, _seeded_rng(6))
+        assert np.array_equal(a, game._sample_rounds(self.P, 1000, _seeded_rng(6)))
+        assert not np.array_equal(a, game._sample_rounds(self.P, 1000, _seeded_rng(7)))
 
 
 class TestGameConfig:
@@ -707,3 +708,22 @@ class TestIntegerArguments:
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == f"{name} must fit in a float, got a 1329-bit {name}"
+
+
+class TestSeedRange:
+    # both seeded functions key one Philox stream, so they take one seed range;
+    # the optimizer once ran at seeds of 2**128 and above, which Philox refuses
+    SEEDED = [lambda seed: run_monte_carlo(2, 3, shots=10, seed=seed),
+              lambda seed: optimize_single_state(build_mub(2, 3), restarts=1, seed=seed)]
+
+    @pytest.mark.parametrize("run", SEEDED, ids=["monte_carlo", "optimizer"])
+    @pytest.mark.parametrize("seed", [0, MAX_SEED])
+    def test_seed_range_ends_are_accepted(self, run, seed):
+        run(seed)
+
+    @pytest.mark.parametrize("run", SEEDED, ids=["monte_carlo", "optimizer"])
+    @pytest.mark.parametrize("seed", [-1, MAX_SEED + 1])
+    def test_seed_outside_the_range_is_refused(self, run, seed):
+        with pytest.raises(ValueError) as err:
+            run(seed)
+        assert str(err.value) == f"seed must be between 0 and {2**128 - 1}, got {seed}"

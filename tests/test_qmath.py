@@ -16,10 +16,11 @@ from oracles import (
     partial_trace_A,
     projector,
     random_density_matrix,
+    random_pure_state,
     random_unitary,
     tensor_product,
 )
-from steerwork.lhs import _average_projectors, principal_eigenvector, random_pure_state
+from steerwork.lhs import _average_projectors, principal_eigenvector
 from steerwork.mub import build_mub
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
