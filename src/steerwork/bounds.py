@@ -24,15 +24,14 @@ def _thermal_weights(d: int, omega: float, beta: float) -> tuple[float, float]:
 
     The one check of the energies: raises ValueError unless 0 < omega < inf
     and beta >= 0 (inf allowed); d is checked by mub._as_dims. P equals 1/d
-    at beta = 0 and 1 at beta = inf; exp(-beta*omega) never overflows, and a
-    subnormal t is one exp, so that it keeps every bit it can hold.
+    at beta = 0 and 1 at beta = inf; exp(-beta*omega) never overflows for
+    beta >= 0, omega > 0.
     """
     if not 0 < omega < math.inf:
         raise ValueError(f"energy gap must be finite and positive, got omega={omega}")
     if not (beta >= 0):
         raise ValueError(f"inverse temperature must be >= 0, got beta={beta}")
     t = (d - 1) * math.exp(-beta * omega)
-    t = t if t >= sys.float_info.min else math.exp(math.log(d - 1) - beta * omega)
     return 1.0 / (1.0 + t), t / (1.0 + t)
 
 

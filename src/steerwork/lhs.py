@@ -41,7 +41,7 @@ from .mub import _as_int, _bases_shape, _seeded_rng
 # Defaults of optimize_single_state, which the lhs-opt flags share.
 DEFAULT_RESTARTS, DEFAULT_SEED = 32, 0
 # Steps after which a restart ends unconverged; a guard, not an option:
-# over 1,920 restarts at d = 61, n = 62 the longest took 13 steps.
+# over 1,920 restarts at d = 61, n = 62 the longest took 12 steps.
 MAX_STEPS = 500
 # Restarts per lockstep block of optimize_single_state. One stacked step
 # saves the Python overhead around each small eigh, while the traced peak

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -232,8 +233,10 @@ def test_closed_forms_match_mpmath(beta_kind):
     # P, 1 - P and w_quantum hold to 4 ulps relative, times 1 + beta*omega:
     # beta * omega is rounded before exp, whose condition number there is
     # beta*omega. w_classical and xi may also lose eps*(r + P)/|r - P|, their
-    # condition number near the advantage edge r ~ P. A 1 - P or a work that
-    # underflows may miss by the subnormal spacing ulp(0) besides.
+    # condition number near the advantage edge r ~ P. A work that underflows
+    # may miss by the subnormal spacing ulp(0) besides. Where e^{-beta*omega}
+    # is subnormal, exp rounds it to within ulp(0) and d - 1 scales that up,
+    # so 1 - P may miss by d ulp(0) there; elsewhere its check is relative.
     eps = math.ulp(1.0)
     with mpmath.workdps(50):
         for d, n, omega, beta in _grid(beta_kind):
@@ -244,9 +247,10 @@ def test_closed_forms_match_mpmath(beta_kind):
             r = (1 + (d - 1) / mpmath.sqrt(n)) / d
             gap = (r - 1 + r * t) / (1 + t)  # r - P, without 1 + t rounding t away
             tol = 4 * eps * (1 + (b * w if 0 < beta < math.inf else 0))
+            spacing = d * math.ulp(0.0) if 0 < t / (d - 1) < sys.float_info.min else 0.0
             case = (d, n, omega, beta)
             assert abs(bs.population - pop) <= tol * pop, case
-            assert abs(bs.excited - excited) <= tol * excited + math.ulp(0.0), case
+            assert abs(bs.excited - excited) <= tol * excited + spacing, case
             assert abs(bs.w_quantum - w * excited) <= tol * w * excited + math.ulp(0.0), case
             if not gap:
                 assert bs.w_classical == 0.0 and bs.xi is None, case

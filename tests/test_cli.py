@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from referencing import Registry, Resource
 
+from steerwork.bounds import rastegin_bound
 from steerwork.cli import build_parser, main
 from steerwork.mub import SUPPORTED_FAMILIES as FAMILIES
 from steerwork.mub import ATOL, check_supported
@@ -277,6 +278,16 @@ class TestLhsOpt:
         data = json.loads(out)
         validate(data, "lhs_opt")
         assert (data["oracle"] is None) == (d != 2)
+
+    def test_gap_carries_no_thermal_term(self, capsys):
+        # gap is omega * (r - objective) in one product; the difference of the
+        # two works would carry the rounding of each omega * P (here P = 1)
+        code, out, _ = run_cli(capsys, "lhs-opt", "--dim", "3", "--n-bases", "4",
+                               "--omega", "1e5", "--beta", "40", "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        objective = data["optimizer"]["objective"]
+        assert data["gap"] == 1e5 * (rastegin_bound(3, 4) - objective)
 
     def test_json_schema_checks_the_optimizer(self, capsys):
         # the optimizer object follows optimizer_result through its $ref
