@@ -21,7 +21,6 @@ the computational basis (for d = 2 that is the Z eigenbasis).
 
 from __future__ import annotations
 
-import functools
 import operator
 import os
 import sys
@@ -45,11 +44,9 @@ GRAM_TILE = 4
 # where the whole scan is held to 1 MiB (test_memory_one_block_row) on any
 # machine, however many CPUs it has.
 MAX_SCAN_WORKERS = 2
-# Functions by which OpenBLAS reports the threads it runs one product on:
-# the scipy-openblas of numpy's wheels, 64-bit-index and plain builds.
-OPENBLAS_THREAD_GETTERS = (
-    "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads",
-)
+# The variables OpenBLAS takes its thread count from, in its order: it runs
+# on the first that holds a positive integer, or on one thread per CPU.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # Largest bases array build_mub allocates, 16*n*d^2 bytes. It is the largest
 # allocation of verify-mub and lhs-opt, so the cap refuses an oversized run
 # before any work starts. Every family has n >= 2, so it also caps d at
@@ -228,56 +225,33 @@ def build_mub(d: int, n: int) -> np.ndarray:
 
 
 def _usable_cpus() -> int:
-    """CPUs in this process's affinity mask; _scan_workers calls it only on Linux."""
-    return len(os.sched_getaffinity(0))
-
-
-@functools.cache
-def _openblas_thread_getters() -> tuple:
-    """The thread-count function of each OpenBLAS the process has loaded.
-
-    Found through /proc/self/maps, so empty off Linux and for other BLAS
-    libraries. numpy loads its BLAS on import, so the set does not change.
-    """
-    import ctypes  # numpy has imported it already
-
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return ()
-    getters = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in OPENBLAS_THREAD_GETTERS:
-            if hasattr(lib, symbol):
-                getter = getattr(lib, symbol)
-                getter.restype = ctypes.c_int
-                getters.append(getter)
-                break
-    return tuple(getters)
-
-
-def _blas_threads() -> int | None:
-    """Most threads a loaded OpenBLAS runs one product on now; None if unknown."""
-    getters = _openblas_thread_getters()
-    return max(getter() for getter in getters) if getters else None
+    """CPUs this process may run on: its affinity mask where the OS has one, else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _scan_workers(n: int) -> int:
     """Threads verify_mub scans n block rows on.
 
-    More than one only where BLAS is known to run each product on one
-    thread: a threaded BLAS already spreads each tile product over the
-    CPUs, and threads of both kinds on the same CPUs contend (on 2 CPUs at
-    d = 61, two workers took 135 ms against 118 ms on one).
+    More than one only where BLAS runs each product on one thread, as
+    OpenBLAS decides from BLAS_THREAD_VARIABLES: a threaded BLAS already
+    spreads each tile product over the CPUs, and threads of both kinds on
+    the same CPUs contend (on 2 CPUs at d = 61, two workers took 86 ms
+    against 71 ms on one). A count set at run time, as by threadpoolctl,
+    is not seen; a wrong guess costs time only.
     """
-    if _blas_threads() != 1:
-        return 1
-    return min(MAX_SCAN_WORKERS, _usable_cpus(), n)
+    cpus = _usable_cpus()
+    for name in BLAS_THREAD_VARIABLES:
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            break
+    else:
+        threads = cpus
+    return min(MAX_SCAN_WORKERS, cpus, n) if threads == 1 else 1
 
 
 def _bases_shape(bases) -> tuple[int, int]:

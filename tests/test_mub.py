@@ -419,49 +419,86 @@ def exact(report):
     return report.passed, float(report.max_deviation).hex(), report.worst_pair
 
 
-BLAS_THREADS_PROBE = (
-    "import steerwork.mub as mub; print(mub._blas_threads(), mub._scan_workers(62))"
-)
+BLAS_VARIABLES = (*mub.BLAS_THREAD_VARIABLES, "MKL_NUM_THREADS")
+
+
+def set_blas_env(monkeypatch, env):
+    for name in BLAS_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+
+
+# BLAS thread variables and the workers of a 62-basis scan on 2 CPUs. OpenBLAS
+# takes the first variable that holds a positive integer and ignores MKL's.
+SCAN_WORKERS_TABLE = [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2),
+    ({"GOTO_NUM_THREADS": "1"}, 2),
+    ({"OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "-1", "GOTO_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "5"}, 1),
+    ({"MKL_NUM_THREADS": "1"}, 1),
+    ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}, 2),
+]
 
 
 class TestScanWorkers:
     @pytest.mark.parametrize("blas", [None, 2, 4])
     def test_one_worker_beside_a_threaded_or_unknown_blas(self, monkeypatch, blas):
+        # None sets no variable, and BLAS runs one thread per CPU
         def no_thread(*args, **kwargs):
             raise AssertionError("a helper thread was started")
 
-        monkeypatch.setattr(mub, "_blas_threads", lambda: blas)
+        set_blas_env(monkeypatch, {} if blas is None else {"OPENBLAS_NUM_THREADS": str(blas)})
         monkeypatch.setattr(threading, "Thread", no_thread)
         bases = build_mub(13, 14)
         assert exact(verify_on(monkeypatch, 8, bases)) == exact(verify_on(monkeypatch, 1, bases))
 
     def test_two_workers_beside_a_one_thread_blas(self, monkeypatch):
-        monkeypatch.setattr(mub, "_blas_threads", lambda: 1)
+        set_blas_env(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"})
         for cpus, n, workers in [(1, 62, 1), (2, 62, 2), (8, 62, MAX_SCAN_WORKERS), (8, 1, 1)]:
             monkeypatch.setattr(mub, "_usable_cpus", lambda: cpus)
             assert mub._scan_workers(n) == workers
 
+    @pytest.mark.parametrize("cpus", [2, 1])
+    @pytest.mark.parametrize("env,workers", SCAN_WORKERS_TABLE)
+    def test_workers_follow_openblas_rule(self, monkeypatch, env, workers, cpus):
+        set_blas_env(monkeypatch, env)
+        monkeypatch.setattr(mub, "_usable_cpus", lambda: cpus)
+        assert mub._scan_workers(62) == (workers if cpus == 2 else 1)
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        # os.sched_getaffinity exists on Linux only
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        set_blas_env(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"})
+        assert mub._usable_cpus() == 3
+        assert mub._scan_workers(62) == MAX_SCAN_WORKERS
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert mub._usable_cpus() == 1
+
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_blas_threads_read_from_openblas(self, threads):
-        # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, and
-        # runs on no more threads than the process has CPUs
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-               "PYTHONPATH": os.pathsep.join(sys.path)}
-        out = subprocess.run([sys.executable, "-c", BLAS_THREADS_PROBE], env=env,
-                             capture_output=True, text=True, check=True).stdout.split()
-        if out[0] == "None":
-            pytest.skip("numpy's BLAS is not an OpenBLAS found in /proc/self/maps")
-        cpus = len(os.sched_getaffinity(0))
-        blas = min(threads, cpus)
-        workers = min(MAX_SCAN_WORKERS, cpus) if blas == 1 else 1
-        assert out == [str(blas), str(workers)]
+    def test_workers_in_a_fresh_process(self, threads):
+        # the decision a new process makes from the variables it starts with
+        env = {name: value for name, value in os.environ.items() if name not in BLAS_VARIABLES}
+        env.update(OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", "import steerwork.mub as mub; "
+                              "print(mub._usable_cpus(), mub._scan_workers(62))"],
+                             env=env, capture_output=True, text=True, check=True).stdout.split()
+        cpus = mub._usable_cpus()
+        workers = min(MAX_SCAN_WORKERS, cpus) if threads == 1 else 1
+        assert out == [str(cpus), str(workers)]
 
 
 class TestParallelScan:
     @pytest.fixture(autouse=True)
     def one_thread_blas(self, monkeypatch):
         # the helpers start only beside a BLAS that runs on one thread
-        monkeypatch.setattr(mub, "_blas_threads", lambda: 1)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     def test_memory_on_many_cpus(self, monkeypatch):
         # MAX_SCAN_WORKERS bounds the workers, and with them the peak, on
         # machines with more CPUs than this one
