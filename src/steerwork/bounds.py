@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass
+from decimal import Decimal
+from fractions import Fraction
 
 from .mub import _as_dims
 
@@ -24,14 +26,17 @@ def _thermal_weights(d: int, omega: float, beta: float) -> tuple[float, float]:
 
     The one check of the energies: raises ValueError unless 0 < omega < inf
     and beta >= 0 (inf allowed); d is checked by mub._as_dims. P equals 1/d
-    at beta = 0 and 1 at beta = inf; exp(-beta*omega) never overflows for
-    beta >= 0, omega > 0.
+    at beta = 0 and 1 at beta = inf. beta*omega is taken exactly, as hi + lo,
+    and e^{-lo} as 1 - lo, within lo^2 / 2: P and 1 - P hold to a few ulps.
     """
     if not 0 < omega < math.inf:
         raise ValueError(f"energy gap must be finite and positive, got omega={omega}")
     if not (beta >= 0):
         raise ValueError(f"inverse temperature must be >= 0, got beta={beta}")
-    t = (d - 1) * math.exp(-beta * omega)
+    beta, omega = float(beta), float(omega)
+    hi = beta * omega
+    lo = float(Fraction(beta) * Fraction(omega) - Fraction(hi)) if hi < math.inf else 0.0
+    t = (d - 1) * math.exp(-hi) * (1 - lo)
     return 1.0 / (1.0 + t), t / (1.0 + t)
 
 
@@ -91,9 +96,11 @@ def evaluate_bounds(d: int, n: int, omega: float, beta: float) -> BoundSet:
     d, n = _as_dims(d, n)
     r = rastegin_bound(d, n)
     pop, excited = _thermal_weights(d, omega, beta)
-    # omega times a subnormal 1 - P would scale up its rounding: take one exp
-    w_quantum = (omega * excited if excited >= sys.float_info.min
-                 else math.exp(math.log(d - 1) + math.log(omega) - beta * omega))
+    if excited >= (d - 1) * sys.float_info.min:
+        w_quantum = omega * excited
+    else:  # omega must not scale up the rounding of a subnormal e^{-beta*omega}; 1 + t = 1
+        w, b = Decimal(float(omega)), Decimal(float(beta))
+        w_quantum = float(w * (d - 1) * (-b * w).exp())
     return BoundSet(
         d=d, n=n, omega=omega, beta=beta,
         w_classical=work_above_reset(omega, r, pop),

@@ -1,22 +1,20 @@
 """Construction and verification of mutually unbiased bases (MUBs).
 
 Two orthonormal bases of C^d are mutually unbiased when every cross-basis
-overlap has modulus 1/sqrt(d). Supported constructions:
+overlap has modulus 1/sqrt(d). Basis 0 is the computational basis (Z at
+d = 2); every other one is a member m of the Wootters-Fields family, read
+from one table of the 4d-th roots of unity, roots[k] = exp(2*pi*i*k/(4d)),
+by an integer exponent reduced mod 4d, with c = 4 for odd d, c = 2 at d = 2:
 
-  * any d, n = 2: computational basis + discrete Fourier basis, except
-    that odd prime d gets the first two bases of the family below;
-  * d = 2, n <= 3: the Pauli Z/X/Y eigenbases;
-  * odd prime d, n <= d+1: computational basis plus the quadratic-phase
-    family whose basis x has components <j|phi_x^a> =
-    d^{-1/2} exp(2*pi*i*(x*j^2 + a*j)/d) for x = 1..d.
+    component j of vector a = d^{-1/2} roots[(c*m*j^2 + 4*a*j) mod 4d].
 
-For odd primes the quadratic-phase family with x = 1..d together with the
-computational basis realizes the maximal count of d+1 bases. Prime powers
-p^k with k > 1 would need Galois-field arithmetic and are not constructed;
-asking for them raises MubConstructionError.
-
-Outcome index a and basis index x are 0-based everywhere; basis 0 is always
-the computational basis (for d = 2 that is the Z eigenbasis).
+Supported constructions, with outcome a and basis index x 0-based:
+  * any d, n = 2: m = 0, the discrete Fourier basis, except that odd prime
+    d gets the first two bases of the family below;
+  * d = 2, n <= 3: m = 0, 1, the Pauli X and Y eigenbases;
+  * odd prime d, n <= d+1: basis x is m = x, the maximal count d+1 at m = d.
+Prime powers p^k with k > 1 would need Galois-field arithmetic and are not
+constructed; asking for them raises MubConstructionError.
 """
 
 from __future__ import annotations
@@ -121,18 +119,6 @@ class MubVerification:
     worst_pair: tuple[int, int, int, int]
 
 
-def _pauli_bases() -> np.ndarray:
-    s = 1.0 / np.sqrt(2.0)
-    return np.array(
-        [
-            [[1, 0], [0, 1]],                    # Z
-            [[s, s], [s, -s]],                   # X
-            [[s, 1j * s], [s, -1j * s]],         # Y
-        ],
-        dtype=complex,
-    )
-
-
 def _as_int(name: str, value) -> int:
     """value as a Python int; ValueError naming the parameter if it is not integral."""
     try:
@@ -207,20 +193,17 @@ def build_mub(d: int, n: int) -> np.ndarray:
     and ValueError, before allocating, when check_supported refuses it.
     """
     d, n = check_supported(d, n)
-    if d == 2:
-        return _pauli_bases()[:n]
-    # Vector a of basis x has j-th component d^{-1/2} exp(2 pi i (x j^2 + a j)/d):
-    # a quadratic phase in j times the Fourier factor, which all bases share.
-    # For composite d the one Fourier basis is the x = 0 member, unbiased to
-    # the computational basis for any d.
+    k = 4 * d
+    roots = np.exp(2j * np.pi * np.arange(k) / k)
+    roots[::d] = 1, 1j, -1, -1j  # exact: exp leaves cos(pi/2) at 6e-17
     j = np.arange(d)
-    fourier = np.exp(2j * np.pi * np.outer(j, j) / d)
+    # the quadratic phase roots[c m j^2] times the Fourier factor, which all bases share
+    fourier = roots[4 * np.outer(j, j) % k] / np.sqrt(d)
+    c, first = (2, 0) if d == 2 else (4, int(is_prime(d)))
     bases = np.empty((n, d, d), dtype=complex)
     bases[0] = np.eye(d)
-    for slot, x in enumerate(range(1, n) if is_prime(d) else [0], start=1):
-        quad = np.exp(2j * np.pi * x * (j * j % d) / d)
-        np.multiply(quad[np.newaxis, :], fourier, out=bases[slot])
-        bases[slot] /= np.sqrt(d)
+    for x, m in enumerate(range(first, first + n - 1), start=1):
+        np.multiply(roots[c * m * j * j % k], fourier, out=bases[x])
     return bases
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -228,10 +229,24 @@ def _grid(beta_kind, size=200, seed=11):
         yield d, n, omega, beta
 
 
+@pytest.mark.parametrize("omega, beta, w_quantum", [
+    # mpmath at 50 digits; beta*omega rounds to 708, 4.9e-14 below the
+    # product, which e^{-beta*omega} would take as a 4.9e-14 relative error
+    (1e300, 7.08e-298, 3.3075530036382463e-08),
+    # e^{-beta*omega} subnormal, omega (1 - P) not
+    (1e10, 7.3e-08, 9.2263135691216372e-308),
+])
+def test_w_quantum_to_an_ulp_where_beta_omega_rounds(capsys, omega, beta, w_quantum):
+    assert abs(evaluate_bounds(2, 3, omega, beta).w_quantum - w_quantum) <= math.ulp(w_quantum)
+    assert main(["bounds", "--dim", "2", "--n-bases", "3", "--omega", repr(omega),
+                 "--beta", repr(beta), "--format", "json"]) == 3
+    assert json.loads(capsys.readouterr().out)["w_quantum"] == w_quantum
+
+
 @pytest.mark.parametrize("beta_kind", ["finite", "subnormal", "zero", "inf"])
 def test_closed_forms_match_mpmath(beta_kind):
-    # P, 1 - P and w_quantum hold to 4 ulps relative, times 1 + beta*omega:
-    # beta * omega is rounded before exp, whose condition number there is
+    # P, 1 - P and w_quantum hold to 4 ulps relative, however large beta*omega
+    # is: the product is taken exactly, since exp would scale its rounding by
     # beta*omega. w_classical and xi may also lose eps*(r + P)/|r - P|, their
     # condition number near the advantage edge r ~ P. A work that underflows
     # may miss by the subnormal spacing ulp(0) besides. Where e^{-beta*omega}
@@ -246,7 +261,7 @@ def test_closed_forms_match_mpmath(beta_kind):
             pop, excited = 1 / (1 + t), t / (1 + t)
             r = (1 + (d - 1) / mpmath.sqrt(n)) / d
             gap = (r - 1 + r * t) / (1 + t)  # r - P, without 1 + t rounding t away
-            tol = 4 * eps * (1 + (b * w if 0 < beta < math.inf else 0))
+            tol = 4 * eps
             spacing = d * math.ulp(0.0) if 0 < t / (d - 1) < sys.float_info.min else 0.0
             case = (d, n, omega, beta)
             assert abs(bs.population - pop) <= tol * pop, case

@@ -58,6 +58,14 @@ class TestBuildMub:
                         ov = abs(np.vdot(bases[x, a], bases[y, b]))
                         assert abs(ov - 1 / np.sqrt(2)) < 1e-12
 
+    def test_qubit_bases_are_the_pauli_literal(self):
+        # Z, X and Y eigenbases, each vector a row; the quarter turns are exact
+        s = 1 / np.sqrt(2)
+        pauli = np.array([[[1, 0], [0, 1]], [[s, s], [s, -s]], [[s, 1j * s], [s, -1j * s]]],
+                         dtype=complex)
+        assert np.array_equal(build_mub(2, 3), pauli)
+        assert np.array_equal(build_mub(2, 2), pauli[:2])
+
     def test_fourier_pair_d4(self):
         bases = build_mub(4, 2)
         assert np.allclose(bases[0], np.eye(4))
@@ -66,19 +74,30 @@ class TestBuildMub:
 
     @pytest.mark.parametrize("d", [4, 6, 9, 10, 12, 64])
     def test_composite_pair_is_fourier(self, d):
+        # phases reduced mod d before exp, whose argument then stays below 2 pi
         j = np.arange(d)
-        dft = np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
-        assert np.allclose(build_mub(d, 2)[1], dft, rtol=0, atol=1e-14)
+        dft = np.exp(2j * np.pi * (np.outer(j, j) % d) / d) / np.sqrt(d)
+        assert np.allclose(build_mub(d, 2)[1], dft, rtol=0, atol=2e-15)
 
     @pytest.mark.parametrize("d", ODD_PRIMES + [61])
     def test_prime_pair_is_quadratic_phase(self, d):
         # for odd prime d the second basis is the x = 1 quadratic-phase basis,
         # the first two bases of the maximal family, not the Fourier basis
         j = np.arange(d)
-        quad = np.exp(2j * np.pi * (j * j + j[:, None] * j) / d) / np.sqrt(d)
+        quad = np.exp(2j * np.pi * ((j * j + j[:, None] * j) % d) / d) / np.sqrt(d)
         pair = build_mub(d, 2)
         assert np.array_equal(pair, build_mub(d, d + 1)[:2])
-        assert np.allclose(pair[1], quad, rtol=0, atol=1e-12)
+        assert np.allclose(pair[1], quad, rtol=0, atol=2e-15)
+
+    @pytest.mark.parametrize("d", range(2, 65))
+    def test_every_family_to_rounding(self, d):
+        # every supported n: each phase factor is a table entry, read by an
+        # exponent reduced mod 4d, so an overlap misses by little more than
+        # the rounding of its d-term sum
+        for n in range(2, d + 2):
+            if supported_family(d, n):
+                report = verify_mub(build_mub(d, n))
+                assert report.max_deviation <= 2e-15, (n, report)
 
     def test_qutrit_full_family(self):
         worst = exhaustive_overlap_check(build_mub(3, 4), 1e-12)
