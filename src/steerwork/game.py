@@ -15,9 +15,9 @@ omega, and never builds a Hamiltonian or a Gibbs state.
 There is one protocol: the maximally entangled state measured in the
 conjugated bases, which steers Bob to sigma_{a|x} = |phi_x^a><phi_x^a|/d.
 _quantum_protocol computes its tables p[x, a] and F[x, a] one setting at a
-time, so its memory is the dense rho plus one setting's effects and sigma, and
-_check_protocol asserts the identities they obey on exactly the tables
-that are then priced, each at the one tolerance mub.ATOL (in units of
+time, so its memory is the dense real rho plus one setting's effects and
+sigma, and _check_protocol asserts the identities they obey on exactly the
+tables that are then priced, each at the one tolerance mub.ATOL (in units of
 omega for the work). The general path for any state and POVM stack, and
 the per-round ledger by diagonalization, live in tests/oracles.py, where
 the tests compare the production tables against them.
@@ -119,19 +119,23 @@ def _quantum_protocol(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     effect for (x, a) is the projector onto conj(phi_x^a); the general
     path for any state and POVM stack is the test oracle in tests/oracles.py.
     The settings are measured one at a time, so memory is the dense rho
-    (d^4 entries) plus one setting's effects and sigma (d^3 entries each).
+    (d^4 float64 entries, half a complex rho's bytes) plus one setting's
+    effects and sigma (d^3 complex entries each). Each sigma is bit for bit
+    the one a complex rho gives.
     """
     bases = build_mub(d, n)
-    psi = np.zeros(d * d, dtype=complex)
+    psi = np.zeros(d * d)
     psi[:: d + 1] = 1.0 / math.sqrt(d)
-    rho = np.outer(psi, psi.conj()).reshape(d, d, d, d)
+    rho = np.outer(psi, psi).reshape(d, d, d, d)
     p = np.empty((n, d))
     fid = np.empty((n, d), dtype=complex)
     reduced = np.empty((n, d, d), dtype=complex)
     for x, basis in enumerate(bases):
         effects = basis.conj()[:, :, None] * basis[:, None, :]
-        # Tr_A[(M (x) I) rho] index by index: sum_{i,j} M_ij rho[(j,k),(i,l)]
-        sigma = np.einsum("aij,jkil->akl", effects, rho)
+        # Tr_A[(M (x) I) rho] index by index: sum_{i,j} M_ij rho[(j,k),(i,l)];
+        # rho is real, so the real and imaginary parts of M contract apart
+        sigma = (np.einsum("aij,jkil->akl", effects.real, rho)
+                 + 1j * np.einsum("aij,jkil->akl", effects.imag, rho))
         p[x] = np.einsum("aii->a", sigma).real
         fid[x] = np.einsum("aj,ajk,ak->a", basis.conj(), sigma, basis) / p[x]
         reduced[x] = sigma.sum(axis=0)

@@ -576,7 +576,7 @@ def test_one_domain_rule(capsys, argv, message):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
 def test_out_of_memory_under_address_space_limit():
-    # rho_AB at d = 200 needs 23.8 GiB; a 2 GB address-space cap makes that
+    # the real rho_AB at d = 200 needs 11.9 GiB; a 2 GB address-space cap makes that
     # allocation fail in the child without touching the host's memory
     import resource
 
