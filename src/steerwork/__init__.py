@@ -11,10 +11,10 @@ independent optimizer.
 
 from .bounds import BoundSet, evaluate_bounds
 from .game import WorkReport, run_exact_quantum
-from .lhs import OptimizerResult, optimize_single_state, qubit_oracle
+from .lhs import OptimizerResult, optimize_single_state
 from .mub import MubConstructionError, build_mub
 
-__version__ = "0.11.1"
+__version__ = "0.12.0"
 
 __all__ = [
     "BoundSet",
@@ -24,6 +24,5 @@ __all__ = [
     "build_mub",
     "evaluate_bounds",
     "optimize_single_state",
-    "qubit_oracle",
     "run_exact_quantum",
 ]

@@ -49,6 +49,17 @@ def rastegin_bound(d: int, n: int) -> float:
     return (1.0 + (d - 1) / math.sqrt(n)) / d
 
 
+def single_state_optimum(d: int, n: int) -> float | None:
+    """Max over pure psi of (1/n) sum_x max_a |<phi_x^a|psi>|^2 for n MUBs where exact, else None.
+
+    Rastegin's bound is attained at d = 2. At n = 2 every cross-basis overlap is 1/sqrt(d) in
+    modulus, so every pick function gives (1 + 1/sqrt(d))/2, the tight Maassen-Uffink bound.
+    """
+    if d == 2:
+        return rastegin_bound(d, n)
+    return (1.0 + 1.0 / math.sqrt(d)) / 2 if n == 2 else None
+
+
 def work_above_reset(omega: float, overlap: float, population: float) -> float:
     """omega * overlap - omega * population, the shape of every work bound.
 

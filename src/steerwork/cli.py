@@ -26,7 +26,7 @@ import sys
 
 from .bounds import evaluate_bounds, json_float, work_above_reset
 from .game import run_exact_quantum, run_monte_carlo
-from .lhs import DEFAULT_RESTARTS, DEFAULT_SEED, optimize_single_state, qubit_oracle
+from .lhs import DEFAULT_RESTARTS, DEFAULT_SEED, closed_form_optimum, optimize_single_state
 from .mub import ATOL, MAX_SEED, MubConstructionError, build_mub, check_family, verify_mub
 
 EXIT_OK = 0
@@ -200,7 +200,7 @@ def cmd_lhs_opt(args) -> int:
     result = optimize_single_state(bases, args.restarts, args.seed)
     achievable = work_above_reset(args.omega, result.objective, bs.population)
     gap = args.omega * (bs.rastegin - result.objective)  # carries no omega * P
-    oracle = qubit_oracle(bases) if args.dim == 2 else None
+    oracle = closed_form_optimum(bases)
     agreement = abs(oracle.objective - result.objective) if oracle else None
 
     head = {"d": args.dim, "n": args.n_bases, "omega": args.omega, "beta": json_float(args.beta)}

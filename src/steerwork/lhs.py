@@ -14,28 +14,23 @@ Gibbs population, so no assemblage is built here; lhs-opt prices the
 objective with bounds.work_above_reset, the shape of w_classical. Finding
 the best pure state is the nonconvex problem
 max_psi (1/n) sum_x max_a |<phi_x^a|psi>|^2, handled by alternating
-maximization with random restarts: one overlap table per iterate gives
-both the objective and the next picks, and a restart stops at its fixed
-point. The restarts take their Haar-random starts in turn from one
-stream, mub._seeded_rng, and run in lockstep blocks: each step
-diagonalizes the block's d x d matrices in one stacked eigh, and
-principal_eigenvector and the helpers around it take such stacks; those
-average projectors are Hermitian by construction. The optimum is the
-largest lambda_max of (1/n) sum_x |phi_x^{a(x)}><phi_x^{a(x)}| over the d^n
-pick functions a(x); qubit_oracle scores the 2^n of them at d = 2 as one
-stack. General hidden-state models, the game pipeline on them and a
-Bloch-sphere grid search live in tests/oracles.py, where the tests check
-these closed forms against them.
+maximization with random restarts in lockstep blocks, each restart stopping
+at its fixed point. The optimum is the largest lambda_max of
+(1/n) sum_x |phi_x^{a(x)}><phi_x^{a(x)}| over the d^n pick functions a(x);
+at d = 2 and at n = 2 every a(x) gives the same one, which
+closed_form_optimum takes from bounds. General hidden-state models, the
+game pipeline on them and a Bloch-sphere grid search live in
+tests/oracles.py, where the tests check these closed forms against them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import single_state_optimum
 from .mub import _as_int, _bases_shape, _seeded_rng
 
 # Defaults of optimize_single_state, which the lhs-opt flags share.
@@ -68,14 +63,9 @@ class OptimizerResult:
     converged: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": int(self.best_state.shape[0]),
-            "best_state": [[float(c.real), float(c.imag)] for c in self.best_state],
-            "objective": self.objective,
-            "restarts_used": self.restarts_used,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
+        return {"dim": int(self.best_state.shape[0]),
+                "best_state": [[float(c.real), float(c.imag)] for c in self.best_state],
+                **{k: v for k, v in vars(self).items() if k != "best_state"}}
 
 
 def principal_eigenvector(m: np.ndarray) -> np.ndarray:
@@ -106,6 +96,12 @@ def _best_picks(bases: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.argmax(amps, axis=2), amps.max(axis=2).mean(axis=1)
 
 
+def _in_canonical_phase(psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """psi in the global phase that makes a nonzero <phi|psi> real and positive."""
+    overlap = np.vdot(phi, psi)
+    return psi * (abs(overlap) / overlap)
+
+
 def _average_projectors(bases: np.ndarray, picks: np.ndarray) -> np.ndarray:
     """Average projector of one picked vector per basis, for each row of the (k, n) picks."""
     picked = bases[np.arange(len(bases)), picks]
@@ -122,20 +118,23 @@ def optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_RESTARTS,
     (ties to the smallest index), then move to the principal eigenvector of
     the average of the selected projectors. Both half-steps are exact
     maximizations, so the objective never decreases; a decrease beyond
-    rounding raises RuntimeError. Restart i starts from the i-th Haar state
-    of mub._seeded_rng(seed); the best restart wins, ties going to the earliest.
-    Each iterate's overlap table |<phi_x^a|psi>|^2 gives both its
-    objective and the next picks. A restart stops, converged, at its fixed
-    point: when a computed step fails to raise the objective, or when its
-    picks repeat the previous step's, which would rebuild the same state,
-    so that step counts as one and computes nothing. After MAX_STEPS steps
-    it stops unconverged. The restarts run in lockstep blocks of
-    RESTART_BLOCK: each step takes the block's running restarts through
-    one stacked eigh, and each restart computes bit for bit what it would
-    alone, so memory is O(block) whatever restarts is. bases is the
-    (n, d, d) array of mub.build_mub, or ValueError from mub._bases_shape.
-    restarts and seed must be integral (numpy integers are), or ValueError
-    names the one that is not; so does a seed outside 0 to mub.MAX_SEED.
+    rounding raises RuntimeError. Each iterate's overlap table
+    |<phi_x^a|psi>|^2 gives both its objective and the next picks. A restart
+    stops, converged, at its fixed point: when a computed step fails to raise
+    the objective, or when its picks repeat the previous step's, which would
+    rebuild the same state, so that step counts as one and computes nothing.
+    After MAX_STEPS steps it stops unconverged. Restart i starts from the
+    i-th Haar state of mub._seeded_rng(seed). The restarts run in lockstep
+    blocks of RESTART_BLOCK: each step takes the block's running restarts
+    through one stacked eigh, and each restart computes bit for bit what it
+    would alone, so memory is O(block) whatever restarts is. A later restart
+    wins only by more than 16 ulp(1), so a tie to rounding goes to the
+    earliest whatever the BLAS, and the winner's state is returned in the
+    phase that makes <phi_0^{a(0)}|psi> real and positive, a(0) its pick in
+    basis 0. bases is the (n, d, d) array of mub.build_mub, or ValueError
+    from mub._bases_shape. restarts and seed must be integral (numpy integers
+    are), or ValueError names the one that is not; so does a seed outside 0
+    to mub.MAX_SEED.
     """
     _, d = _bases_shape(bases)
     restarts, rng = _as_int("restarts", restarts), _seeded_rng(seed)
@@ -165,37 +164,28 @@ def optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_RESTARTS,
             fell = np.flatnonzero(new_obj < obj[run] - 1e-12)
             if len(fell):
                 r = fell[0]
-                raise RuntimeError(
-                    f"objective decreased from {float(obj[run[r]])!r} to {float(new_obj[r])!r}; "
-                    f"the alternating steps must be monotone"
-                )
+                raise RuntimeError(f"objective decreased from {float(obj[run[r]])!r} to "
+                                   f"{float(new_obj[r])!r}; the alternating steps must be monotone")
             stop = new_obj <= obj[run]
             obj[run], converged[run] = new_obj, stop
             run = run[~stop]
-        r = int(np.argmax(obj))  # the first of the block's best
-        if obj[r] > best_obj:
-            best_obj, best_state, best_converged = float(obj[r]), psi[r].copy(), bool(converged[r])
+        for r in range(len(psi)):  # in restart order, within and across blocks
+            if obj[r] > best_obj + 16 * math.ulp(1.0):
+                best_obj, best_converged = float(obj[r]), bool(converged[r])
+                best_state = _in_canonical_phase(psi[r], bases[0, picks[r, 0]])
 
-    return OptimizerResult(best_state=best_state, objective=best_obj,
-                           restarts_used=restarts, iterations=total_iters,
-                           converged=best_converged)
+    return OptimizerResult(best_state, best_obj, restarts, total_iters, best_converged)
 
 
-def qubit_oracle(bases: np.ndarray) -> OptimizerResult:
-    """Exact qubit optimum: the best of the states of the 2^n pick functions.
+def closed_form_optimum(bases: np.ndarray) -> OptimizerResult | None:
+    """build_mub's optimum where bounds.single_state_optimum knows it, else None.
 
-    Only valid at d = 2, where build_mub makes at most n = 3 bases, so 8
-    candidates. The first pick function (itertools.product order) with the
-    highest objective wins; iterations counts the candidates checked.
-    bases are checked by mub._bases_shape.
+    The state is a(x) = 0's, which attains it as every pick function does, in
+    optimize_single_state's canonical phase; mub._bases_shape checks bases.
     """
     n, d = _bases_shape(bases)
-    if d != 2:
-        raise ValueError(f"the qubit oracle requires d = 2, got d={d}")
-    psi = principal_eigenvector(_average_projectors(
-        bases, np.array(list(itertools.product(range(2), repeat=n)))))
-    obj = _best_picks(bases, psi)[1]
-    r = int(np.argmax(obj))
-    return OptimizerResult(best_state=psi[r].copy(), objective=float(obj[r]), restarts_used=1,
-                           iterations=2**n, converged=True)
-
+    if (objective := single_state_optimum(d, n)) is None:
+        return None
+    psi = principal_eigenvector(_average_projectors(bases, np.zeros((1, n), dtype=int)))[0]
+    return OptimizerResult(_in_canonical_phase(psi, bases[0, 0]), objective, restarts_used=1,
+                           iterations=1, converged=True)

@@ -455,7 +455,10 @@ def reference_optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_R
     gain test (gain < tol) or max_iter. At tol = ulp(0) and max_iter =
     lhs.MAX_STEPS, the package's optimizer must report the same objective,
     iterations, converged flag and state bytes. Each restart draws its start
-    with random_pure_state, in turn, from one Philox stream keyed by seed.
+    with random_pure_state, in turn, from one Philox stream keyed by seed. A
+    later restart replaces the best only when it beats it by more than
+    16 ulp(1), and the best state is put in the phase that makes
+    <phi_0^{a(0)}|psi> real and positive, a(0) its best outcome in basis 0.
     """
     n, d = bases.shape[:2]
     conj = bases.conj()
@@ -487,10 +490,10 @@ def reference_optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_R
             if gain < tol:
                 converged = True
                 break
-        if obj > best_obj:
-            best_obj = obj
-            best_state = psi
-            best_converged = converged
+        if obj > best_obj + 16 * math.ulp(1.0):
+            best_obj, best_converged = obj, converged
+            overlap = np.vdot(bases[0, np.argmax(amps[0])], psi)
+            best_state = psi * (abs(overlap) / overlap)
 
     return OptimizerResult(best_state=best_state, objective=best_obj,
                            restarts_used=restarts, iterations=total_iters,
@@ -498,7 +501,13 @@ def reference_optimize_single_state(bases: np.ndarray, restarts: int = DEFAULT_R
 
 
 def reference_qubit_oracle(bases: np.ndarray) -> OptimizerResult:
-    """lhs.qubit_oracle on a conjugated copy of the bases, as it ran before."""
+    """Exact qubit optimum by enumeration: the best state of the 2^n pick functions.
+
+    Each pick function a(x) gives the principal eigenvector of its average
+    projector; the first with the highest objective wins, in
+    itertools.product order, and iterations counts the candidates. Exact at
+    d = 2, where these are all d^n pick functions.
+    """
     n = bases.shape[0]
     conj = bases.conj()
     best_obj, best_state = -math.inf, None
@@ -526,7 +535,7 @@ def bloch_grid_search(bases: np.ndarray) -> OptimizerResult:
     points per axis; the window around the best point is then shrunk
     geometrically with a fixed 25 x 25 subgrid until the angular step is
     far below the target precision. Fully deterministic. It shares no code
-    with lhs.qubit_oracle, which enumerates pick functions instead.
+    with reference_qubit_oracle, which enumerates pick functions instead.
     """
     d = bases.shape[1]
     if d != 2:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from referencing import Registry, Resource
 
-from steerwork.bounds import rastegin_bound
+from steerwork.bounds import rastegin_bound, single_state_optimum
 from steerwork.cli import build_parser, main
 from steerwork.mub import SUPPORTED_FAMILIES as FAMILIES
 from steerwork.mub import ATOL, check_supported
@@ -269,15 +269,32 @@ class TestLhsOpt:
         assert abs(data["gap"]) < 1e-6
         assert data["oracle_agreement"] < 1e-5
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_json_schema(self, capsys, d):
-        # the oracle runs at d = 2 only, so it is an object there and null at d = 3
-        code, out, _ = run_cli(capsys, "lhs-opt", "--dim", str(d), "--n-bases", str(d + 1),
+    @pytest.mark.parametrize("d,n", [(2, 3), (3, 4), (6, 2)], ids=["2", "3", "6-2"])
+    def test_json_schema(self, capsys, d, n):
+        # the oracle is the closed form, known at d = 2 and at n = 2: an
+        # object there, null at (3, 4)
+        code, out, _ = run_cli(capsys, "lhs-opt", "--dim", str(d), "--n-bases", str(n),
                                "--format", "json")
         assert code == 0
         data = json.loads(out)
         validate(data, "lhs_opt")
-        assert (data["oracle"] is None) == (d != 2)
+        assert (data["oracle"] is None) == ((d, n) == (3, 4))
+
+    def test_oracle_at_two_bases(self, capsys):
+        # every d has its n = 2 pair, where the optimum is (1 + 1/sqrt(d))/2
+        for d in range(2, 65):
+            code, out, _ = run_cli(capsys, "lhs-opt", "--dim", str(d), "--n-bases", "2",
+                                   "--format", "json")
+            assert code == 0
+            data = json.loads(out)
+            validate(data, "lhs_opt")
+            assert data["oracle"]["objective"] == single_state_optimum(d, 2), d
+            assert data["oracle_agreement"] <= 1e-12, d
+
+    def test_text_names_the_oracle_at_two_bases(self, capsys):
+        code, out, _ = run_cli(capsys, "lhs-opt", "--dim", "6", "--n-bases", "2")
+        assert code == 0
+        assert re.search(r"^oracle_objective += 0\.704124145$", out, re.M), out
 
     def test_gap_carries_no_thermal_term(self, capsys):
         # gap is omega * (r - objective) in one product; the difference of the

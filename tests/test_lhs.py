@@ -9,6 +9,7 @@ from steerwork.bounds import (
     _thermal_weights,
     evaluate_bounds,
     rastegin_bound,
+    single_state_optimum,
     work_above_reset,
 )
 from oracles import (
@@ -33,8 +34,8 @@ from steerwork import lhs
 from steerwork.lhs import (
     DEFAULT_RESTARTS,
     DEFAULT_SEED,
+    closed_form_optimum,
     optimize_single_state,
-    qubit_oracle,
 )
 from steerwork.mub import build_mub
 
@@ -306,10 +307,11 @@ class TestFixedPointStop:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_qubit_oracle_matches_conjugated_bases(self, n):
+        # the closed form against the enumeration of all 2^n pick functions
         bases = build_mub(2, n)
-        got, want = qubit_oracle(bases), reference_qubit_oracle(bases)
-        assert got.objective == want.objective
-        assert got.best_state.tobytes() == want.best_state.tobytes()
+        got, want = closed_form_optimum(bases), reference_qubit_oracle(bases)
+        assert abs(got.objective - want.objective) <= 2 * math.ulp(want.objective)
+        assert abs(mub_overlap_objective(bases, got.best_state) - got.objective) <= 1e-15
 
     def test_skips_the_repeated_step(self, eigh_calls):
         # every restart ends on a repeat, which the full loop diagonalized
@@ -324,6 +326,48 @@ class TestFixedPointStop:
         result = optimize_single_state(build_mub(61, 62), restarts=1)
         assert result.converged is True
         assert result.iterations - 1 == eigh_calls[0] < 100
+
+
+class TestKernelIndependence:
+    """Another BLAS kernel returns eigenvectors in another phase and rounded otherwise.
+
+    Restarts that reach optima whose objectives tie to rounding must not
+    trade places for it, and the printed state must not carry eigh's phase.
+    """
+
+    @pytest.mark.parametrize("phase, noise", [(True, 0.0), (False, 4e-16), (False, 2e-15)],
+                             ids=["phase", "rounding", "ulps"])
+    def test_the_answer_does_not_move(self, phase, noise, monkeypatch):
+        eigenvector = lhs.principal_eigenvector
+        for d in (3, 5, 7, 11, 13):
+            bases = build_mub(d, d + 1)
+            for seed in range(4):
+                monkeypatch.setattr(lhs, "principal_eigenvector", eigenvector)
+                want = optimize_single_state(bases, seed=seed)
+                rng = np.random.default_rng(seed)
+
+                def other_kernel(m):
+                    v = eigenvector(m)
+                    v = v * (1 + noise * rng.standard_normal(v.shape))
+                    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+                    turn = rng.random((*v.shape[:-1], 1)) if phase else 0.0
+                    return v * np.exp(2j * np.pi * turn)
+
+                monkeypatch.setattr(lhs, "principal_eigenvector", other_kernel)
+                got = optimize_single_state(bases, seed=seed)
+                case = (d, seed)
+                assert abs(got.objective - want.objective) <= 1e-14, case
+                assert got.iterations == want.iterations, case
+                assert np.max(np.abs(got.best_state - want.best_state)) <= 1e-12, case
+
+    @pytest.mark.parametrize("d,n", [(2, 3), (3, 4), (5, 6), (6, 2), (31, 32)])
+    def test_canonical_phase(self, d, n):
+        # <phi_0^{a(0)}|psi> real and positive, a(0) the best outcome in basis 0
+        bases = build_mub(d, n)
+        psi = optimize_single_state(bases, restarts=8, seed=d).best_state
+        amps = np.abs(bases[0].conj() @ psi) ** 2
+        lead = np.vdot(bases[0, np.argmax(amps)], psi)
+        assert lead.real >= 1 / math.sqrt(d) - 1e-12 and abs(lead.imag) <= 1e-15
 
 
 class TestBlochGridSearch:
@@ -375,45 +419,86 @@ class TestBlochGridSearch:
 
 
 class TestQubitOracle:
+    """The closed-form optimum at d = 2, and the enumeration that checks it."""
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_exact_optimum(self, n):
-        result = qubit_oracle(build_mub(2, n))
+        result = closed_form_optimum(build_mub(2, n))
         assert abs(result.objective - (1 + 1 / math.sqrt(n)) / 2) <= 1e-15
-        assert result.iterations == 2**n
+        assert result.iterations == 1
         assert result.restarts_used == 1 and result.converged
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_global_maximum(self, n):
         bases = build_mub(2, n)
-        oracle = qubit_oracle(bases)
+        oracle = closed_form_optimum(bases)
         for seed in range(10):
             opt = optimize_single_state(bases, seed=seed)
             assert oracle.objective >= opt.objective - 1e-15, seed
 
     @pytest.mark.parametrize("seed", range(3))
     def test_agrees_with_grid_on_random_bases(self, seed):
-        # three Haar-random qubit bases: not mutually unbiased, no symmetry
+        # three Haar-random qubit bases: not mutually unbiased, no symmetry,
+        # so no closed form; the two references must still agree
         rng = np.random.default_rng(500 + seed)
         bases = np.stack([random_unitary(2, rng) for _ in range(3)])
-        oracle = qubit_oracle(bases)
+        oracle = reference_qubit_oracle(bases)
         grid = bloch_grid_search(bases)
         assert abs(oracle.objective - grid.objective) < 1e-9
         assert abs(oracle.objective - mub_overlap_objective(bases, oracle.best_state)) < 1e-15
 
-    def test_rejects_higher_dimensions(self):
-        with pytest.raises(ValueError, match="d = 2"):
-            qubit_oracle(build_mub(3, 2))
-
     @pytest.mark.parametrize("bases, message", BAD_BASES)
     def test_rejects_what_verify_mub_rejects(self, bases, message):
         with pytest.raises(ValueError) as err:
-            qubit_oracle(bases)
+            closed_form_optimum(bases)
         assert str(err.value) == message
 
     def test_rejects_nan_bases(self):
-        # every candidate would score NaN, and none would become the best
+        # a NaN state would score NaN against the closed form
         with pytest.raises(ValueError, match="^matrix has a NaN or infinite entry$"):
-            qubit_oracle(np.full((3, 2, 2), np.nan, dtype=complex))
+            closed_form_optimum(np.full((3, 2, 2), np.nan, dtype=complex))
+
+
+def largest_pick_eigenvalue(bases):
+    """Largest lambda_max of the average projector over all d^n pick functions."""
+    n, d = bases.shape[:2]
+    best = -math.inf
+    for picks in np.ndindex(*(d,) * n):
+        picked = bases[np.arange(n), picks]
+        best = max(best, float(np.linalg.eigvalsh(picked.T @ picked.conj() / n)[-1]))
+    return best
+
+
+class TestClosedFormOptimum:
+    """bounds.single_state_optimum, where it is known, and lhs.closed_form_optimum."""
+
+    @pytest.mark.parametrize("d", range(2, 65))
+    def test_optimizer_reaches_it_at_two_bases(self, d):
+        c2 = (1 + 1 / math.sqrt(d)) / 2
+        assert single_state_optimum(d, 2) == c2
+        assert abs(optimize_single_state(build_mub(d, 2)).objective - c2) <= 1e-12
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_every_pick_function_gives_it_at_two_bases(self, d):
+        bases = build_mub(d, 2)
+        assert abs(largest_pick_eigenvalue(bases) - single_state_optimum(d, 2)) <= 1e-15
+
+    def test_the_two_regimes_meet_at_the_qubit_pair(self):
+        assert single_state_optimum(2, 2) == rastegin_bound(2, 2)
+
+    @pytest.mark.parametrize("d,n", [(3, 3), (3, 4), (5, 6), (31, 32)])
+    def test_unknown_elsewhere(self, d, n):
+        assert single_state_optimum(d, n) is None
+        assert closed_form_optimum(build_mub(d, n)) is None
+
+    @pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 2), (6, 2), (64, 2)])
+    def test_state_attains_it_in_canonical_phase(self, d, n):
+        bases = build_mub(d, n)
+        result = closed_form_optimum(bases)
+        assert abs(mub_overlap_objective(bases, result.best_state) - result.objective) <= 1e-14
+        assert abs(np.linalg.norm(result.best_state) - 1) <= 1e-14
+        lead = np.vdot(bases[0, 0], result.best_state)
+        assert lead.real > 0 and abs(lead.imag) <= 1e-15
 
 
 def priced_lhs_work(bases, omega, beta, restarts=DEFAULT_RESTARTS, seed=DEFAULT_SEED):
