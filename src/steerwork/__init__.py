@@ -14,7 +14,7 @@ from .game import WorkReport, run_exact_quantum
 from .lhs import OptimizerResult, optimize_single_state
 from .mub import MubConstructionError, build_mub
 
-__version__ = "0.12.0"
+__version__ = "0.12.1"
 
 __all__ = [
     "BoundSet",

@@ -179,12 +179,10 @@ def cmd_scan(args) -> int:
         dims = [int(tok) for tok in args.dims.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad --dims list {args.dims!r}: {exc}") from exc
-    for d in dims:
-        check_family(d, d + 1)
-
     rows = []
-    for d in dims:
+    for d in dims:  # the domain, then the construction: the first d that fails decides
         bs = evaluate_bounds(d, d + 1, args.omega, args.beta)
+        check_family(d, d + 1)
         row = {k: v for k, v in bs.to_json_dict().items() if k not in ("rastegin", "advantage")}
         rows.append({**row, "xi_over_sqrt_d": bs.xi / math.sqrt(d) if bs.xi is not None else None})
     table = [list(rows[0]), *(row.values() for row in rows)]

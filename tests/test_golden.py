@@ -7,6 +7,11 @@ every IEEE platform: bounds and scan at beta = 0 or inf, where P is 1/d or
 errors keep their last stderr line only ("stderr_tail"), since usage lines
 differ between Python versions. A change that alters one of these outputs
 edits the file and says so in CHANGES.md.
+
+The file is the one record of the CLI's pinned behaviour: this test replays
+it in process, and CI replays it through the installed `steerwork` script,
+one fresh process per case. So a case must not rely on in-process state
+(an earlier case, a monkeypatch or an environment variable).
 """
 
 import json

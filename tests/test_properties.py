@@ -13,6 +13,9 @@ slack.
 test_argv_never_tracebacks draws hostile values instead: one flag of a small
 valid call is set to an arbitrary token, and the CLI must still answer with
 a documented exit code and, on a usage error, a one-line message.
+test_bad_energy_exits_2_before_the_construction sets omega or beta outside
+the domain at any (d, n) up to d = 12, supported or not, and requires the
+library's own one-line message with exit 2.
 """
 
 import contextlib
@@ -24,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steerwork.bounds import evaluate_bounds
 from steerwork.cli import main
 from steerwork.mub import ATOL, supported_family
 
@@ -160,6 +164,30 @@ def test_lhs_opt_subnormal_omega(pair, omega, beta, restarts, seed):
                      "--seed", seed)
     assert code == 0
     assert data["achievable_work"] <= data["w_classical"] + 1e-10 * omega + ULP0
+
+
+BAD_ENERGIES = [("omega", w) for w in (0.0, -1.0, math.inf, math.nan)] + [
+    ("beta", b) for b in (-1.0, math.nan)]
+
+
+@FEW
+@given(st.sampled_from(["bounds", "simulate", "scan", "lhs-opt"]), st.integers(2, 12),
+       st.sampled_from(BAD_ENERGIES), st.data())
+def test_bad_energy_exits_2_before_the_construction(command, d, bad, data):
+    # the domain before the construction, on every subcommand: a bad omega or
+    # beta exits 2 with the library's message, also at a (d, n) that no family
+    # builds, such as (4, 5) or (6, 3), which would otherwise exit 4
+    n = d + 1 if command == "scan" else data.draw(st.integers(2, d + 1))
+    name, value = bad
+    omega, beta = (value, 1.0) if name == "omega" else (1.0, value)
+    with pytest.raises(ValueError, match=f"got {name}=") as refused:
+        evaluate_bounds(d, n, omega, beta)
+    argv = (["--dims", d, "--omega", repr(omega), "--beta", repr(beta)] if command == "scan"
+            else common(d, n, omega, beta))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, *map(str, argv)])
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {refused.value}\n")
 
 
 # A small valid call of each subcommand. The argv test sets one of its values
